@@ -46,7 +46,7 @@ from .data import (
     validation_split,
 )
 from .distill import distill, teacher_predict
-from .errors import ValidationError
+from .errors import TransportTimeout, ValidationError
 from .metrics import MetricHistory, auc
 from .numeric import sigmoid
 from .splitnn import (
@@ -441,6 +441,10 @@ class FedSession:
             self._passive_thread.join(timeout=self.config.recv_timeout)
             if self._passive_error:
                 raise self._passive_error[0]
+            if self._passive_thread.is_alive():
+                raise TransportTimeout(
+                    f"passive party still running {self.config.recv_timeout}s after BYE"
+                )
         self.active.channel.close()
 
     def __enter__(self):
@@ -587,12 +591,14 @@ def _stage_mpd_pretrain(config, dataset, ctx, session_factory):
                 frequency_weighted=config.frequency_weighted,
                 config_hash=config.config_hash(),
             )
-            return {
-                "bottom_a": copy_params(session.active.bottom.params()),
-                "bottom_b": session.passive_bottom_params() if session.passive else {},
-                "mpd_top": copy_params(session.active.top.params()),
-                "history": result.history,
-            }
+        # no message answers the last gradient, so only close(), which joins
+        # the in-process passive thread, orders its last update before the copy
+        return {
+            "bottom_a": copy_params(session.active.bottom.params()),
+            "bottom_b": session.passive_bottom_params() if session.passive else {},
+            "mpd_top": copy_params(session.active.top.params()),
+            "history": result.history,
+        }
 
     return ctx.stage(_pretrain_key(config), build)
 

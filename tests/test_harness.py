@@ -1,6 +1,7 @@
 """Experiment configs, method pipelines, run reports, and the grid."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from fedsplit.harness import (
     METHOD_STAGES,
     METHODS,
     ExperimentConfig,
+    FedSession,
     RunContext,
+    _stage_mpd_pretrain,
     grid,
     load_dataset,
     run,
     run_matrix,
 )
+from fedsplit.splitnn import PassiveParty
 
 
 def tiny_config(method="vfl", seed=0, **kwargs):
@@ -133,6 +137,30 @@ class TestRun:
             b = second.histories[stage]
             assert [r.train_loss for r in a.records] == [r.train_loss for r in b.records]
             assert [r.val_auc for r in a.records] == [r.val_auc for r in b.records]
+
+    def test_mpd_stage_copies_the_passive_bottom_after_its_last_update(self, monkeypatch):
+        # a slow passive update exposes a copy taken before the passive
+        # thread has applied the last gradient
+        apply_update = PassiveParty.apply_update
+
+        def slow_apply_update(party, grads):
+            time.sleep(0.05)
+            apply_update(party, grads)
+
+        monkeypatch.setattr(PassiveParty, "apply_update", slow_apply_update)
+        config = tiny_config(method="vfl-mpd", pretrain_epochs=1)
+        dataset = load_dataset(config)
+        sessions = []
+
+        def session_factory():
+            sessions.append(FedSession(config, dataset))
+            return sessions[-1]
+
+        out = _stage_mpd_pretrain(config, dataset, RunContext(), session_factory)
+        final = sessions[0].passive.bottom.params()
+        assert set(out["bottom_b"]) == set(final)
+        for name, value in final.items():
+            assert out["bottom_b"][name].tobytes() == value.tobytes(), name
 
     def test_report_json_is_parseable(self):
         report = run(tiny_config(method="vfl"))
