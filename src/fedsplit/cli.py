@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _grid_values(config: ExperimentConfig, key: str, values: str) -> list:
+    """Type each value of one --grid axis as --set types that config field."""
+    section = next((name for name, keys in config.to_sections().items() if key in keys), None)
+    if section is None or key not in {f.name for f in fields(ExperimentConfig)}:
+        raise SystemExit(f"--grid key '{key}' is not a config field")
+    return [
+        getattr(ExperimentConfig.from_flat({f"{section}.{key}": v.strip()}), key)
+        for v in values.split(",")
+    ]
+
+
 def _cmd_grid(args) -> int:
     config = _config_from(args)
     spec = {}
@@ -211,8 +223,7 @@ def _cmd_grid(args) -> int:
         if "=" not in item:
             raise SystemExit(f"--grid expects KEY=V1,V2,..., got '{item}'")
         key, values = item.split("=", 1)
-        parsed = [float(v) for v in values.split(",")]
-        spec[key.strip()] = parsed
+        spec[key.strip()] = _grid_values(config, key.strip(), values)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     result = run_grid(config, spec, seeds=seeds)
     print(json.dumps({

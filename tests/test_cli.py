@@ -1,4 +1,4 @@
-"""Command-line surface: synth, run, eval, pretrain, serve-b."""
+"""Command-line surface: synth, run, grid, eval, pretrain, serve-b."""
 
 import json
 import socket
@@ -83,6 +83,13 @@ class TestRunCommand:
     def test_train_rejects_pipeline_methods(self):
         proc = cli("train", "--method", "local-ssd", *BASE_SETS)
         assert proc.returncode != 0
+
+    def test_grid_over_an_integer_hyperparameter(self):
+        proc = cli("grid", "--method", "vfl", "--grid", "epochs=1,2", "--seeds", "0",
+                   *BASE_SETS)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert [row["combo"]["epochs"] for row in result["table"]] == [1, 2]
 
     def test_pretrain_reports_match_metrics(self, tmp_path):
         proc = cli("pretrain", "--out", str(tmp_path), *BASE_SETS)
