@@ -10,6 +10,11 @@ Contents: dense layers (ReLU / identity), hashed-feature embedding tables,
 numerically safe sigmoid / log-sigmoid, binary cross-entropy on logits,
 Bernoulli KL divergence, Adam with L2 added to the gradient, and a
 central-difference gradient checker.
+
+Adam updates its moments and the parameters in place through per-optimizer
+work buffers, in the same order of elementwise operations as the textbook
+expression, so its results are bit-identical to that expression while a
+step allocates no full-size temporaries.
 """
 
 from __future__ import annotations
@@ -306,7 +311,12 @@ class Mlp:
 class AdamState:
     """Adam with bias correction; L2 is added to the gradient before the
     moment update (g <- g + l2 * param) for the parameters selected by the
-    caller's decay arguments."""
+    caller's decay arguments.
+
+    work holds adam_step's two scratch tensors per parameter name. Each step
+    rebuilds it from the names it updates, so it keeps no buffers for
+    parameters the optimizer no longer sees.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -316,6 +326,7 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict, repr=False)
 
 
 def adam_step(
@@ -330,37 +341,68 @@ def adam_step(
 
     decay_full names parameters whose whole tensor receives L2; decay_rows
     maps embedding-table names to the row indices touched by the batch
-    (untouched rows receive no decay).
+    (untouched rows receive no decay). The caller's grads are never written.
+
+    m, v and each parameter are updated in place through the optimizer's
+    two work buffers per parameter, so a step allocates no full-size
+    temporaries. Every elementwise operation runs in the same order as the
+    textbook form
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
+
+    so the results are bit-identical to evaluating that expression.
     """
     decay_full = set(decay_full)
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    work = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
+        pair = state.work.get(name)
+        if pair is None or pair[0].shape != p.shape or pair[0].dtype != p.dtype:
+            pair = (np.empty_like(p), np.empty_like(p))
+        work[name] = pair
+        w1, w2 = pair
         if state.l2 > 0.0:
             if name in decay_full:
-                g = g + state.l2 * p
+                np.multiply(p, state.l2, w1)
+                np.add(g, w1, w1)
+                g = w1
             elif decay_rows is not None and name in decay_rows:
                 rows = decay_rows[name]
-                g = g.copy()
-                g[rows] += state.l2 * p[rows]
+                np.copyto(w1, g)
+                w1[rows] += state.l2 * p[rows]
+                g = w1
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p)
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p)
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(m, b1, m)
+        np.multiply(g, 1.0 - b1, w2)
+        np.add(m, w2, m)
+        np.multiply(g, g, w2)
+        np.multiply(w2, 1.0 - b2, w2)
+        np.multiply(v, b2, v)
+        np.add(v, w2, v)
+        # g is dead from here on, so w1 may be reused even when it holds g
+        np.divide(m, c1, w1)
+        np.divide(v, c2, w2)
+        np.sqrt(w2, w2)
+        np.add(w2, state.eps, w2)
+        np.multiply(w1, state.lr, w1)
+        np.divide(w1, w2, w1)
+        np.subtract(p, w1, p)
+    state.work = work
     return params
 
 
