@@ -223,7 +223,8 @@ def _cmd_grid(args) -> int:
         if "=" not in item:
             raise SystemExit(f"--grid expects KEY=V1,V2,..., got '{item}'")
         key, values = item.split("=", 1)
-        spec[key.strip()] = _grid_values(config, key.strip(), values)
+        key = key.strip()
+        spec[key] = _grid_values(config, key, values)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     result = run_grid(config, spec, seeds=seeds)
     print(json.dumps({
