@@ -4,7 +4,9 @@ aligned per-party batches, and synthetic dataset generators.
 Two parties hold different feature columns of the same samples, aligned by
 row index. Categorical values are hashed with FNV-1a-64 (salted by field
 name) into a fixed number of buckets; numericals are standardized with
-statistics of the labeled segment only. Encoded rows are carried as a
+statistics of the labeled segment only. CSV ingest encodes each segment
+once and hashes each distinct value once per field and segment, which gives
+the same bucket indices as hashing every cell. Encoded rows are carried as a
 FeatureBlock: an int64 index matrix for the categorical fields plus a
 float32 matrix for the numerical fields, columns in schema order.
 """
@@ -372,32 +374,41 @@ def _parse_labels(raw: list[str]) -> tuple[np.ndarray, list[int]]:
 
 
 def _encode(
-    schema: PartySchema,
-    columns: dict[str, list[str]],
-    n: int,
-    stats: NumericalStats | None,
-) -> tuple[FeatureBlock, np.ndarray]:
-    """Encode raw columns; returns the block and the raw numerical matrix
-    (used to compute labeled-segment statistics)."""
+    schema: PartySchema, columns: dict[str, list[str]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hash the categorical columns and parse the numerical ones; returns the
+    int64 bucket-index matrix and the raw float64 numerical matrix (NaN for
+    an empty cell). Each distinct value of a column is hashed once, which
+    gives the same indices as hashing every cell."""
     cat = np.zeros((n, len(schema.cat_fields)), dtype=np.int64)
     for j, f in enumerate(schema.cat_fields):
         col = columns[f.name]
-        cat[:, j] = [hash_feature(f, value) for value in col]
-    raw_num = np.full((n, len(schema.num_fields)), np.nan, dtype=np.float64)
+        index = dict.fromkeys(col)
+        for value in index:
+            index[value] = hash_feature(f, value)
+        cat[:, j] = [index[value] for value in col]
+    raw_num = np.empty((n, len(schema.num_fields)), dtype=np.float64)
     for j, f in enumerate(schema.num_fields):
+        parsed = []
         for i, cell in enumerate(columns[f.name]):
-            if cell != "":
-                try:
-                    raw_num[i, j] = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"field '{f.name}' line {i + 2}: not a number: '{cell}'"
-                    ) from None
-    if stats is None:
-        stats = _compute_stats(raw_num)
+            try:
+                parsed.append(float(cell) if cell != "" else math.nan)
+            except ValueError:
+                raise ValidationError(
+                    f"field '{f.name}' line {i + 2}: not a number: '{cell}'"
+                ) from None
+        raw_num[:, j] = parsed
+    return cat, raw_num
+
+
+def _standardize(
+    cat: np.ndarray, raw_num: np.ndarray, stats: NumericalStats
+) -> FeatureBlock:
+    """The encoded block, numericals standardized with the given statistics
+    (a non-finite result, such as a missing value, becomes 0)."""
     standardized = (raw_num - stats.mean) / stats.std
     standardized = np.where(np.isfinite(standardized), standardized, 0.0)
-    return FeatureBlock(cat=cat, num=standardized.astype(F32)), raw_num
+    return FeatureBlock(cat=cat, num=standardized.astype(F32))
 
 
 def load_csv(
@@ -419,6 +430,10 @@ def load_csv(
     does not parse as 0/1 are dropped from both parties and their data line
     numbers recorded in rejected_lines. Numerical standardization uses the
     labeled segment's statistics for every segment.
+
+    Each file is parsed and encoded once, and each distinct categorical
+    value is hashed once per field and segment; the bucket indices equal
+    those of hashing every cell with hash_feature.
     """
     cols_a, labels_raw, n_a = _raw_columns(path_a, schema_a, label_column)
     cols_b, _, n_b = _raw_columns(path_b, schema_b, None)
@@ -427,14 +442,15 @@ def load_csv(
             f"labeled segment: party A has {n_a} rows, party B has {n_b} rows"
         )
     y, bad_lines = _parse_labels(labels_raw)
-    keep = np.array([i for i in range(n_a) if (i + 2) not in set(bad_lines)], dtype=np.int64)
+    rejected = set(bad_lines)
+    keep = np.array([i for i in range(n_a) if (i + 2) not in rejected], dtype=np.int64)
 
-    block_a, raw_num_a = _encode(schema_a, cols_a, n_a, stats=None)
-    block_b, raw_num_b = _encode(schema_b, cols_b, n_b, stats=None)
+    cat_a, raw_num_a = _encode(schema_a, cols_a, n_a)
+    cat_b, raw_num_b = _encode(schema_b, cols_b, n_b)
     stats_a = _compute_stats(raw_num_a[keep])
     stats_b = _compute_stats(raw_num_b[keep])
-    block_a, _ = _encode(schema_a, cols_a, n_a, stats=stats_a)
-    block_b, _ = _encode(schema_b, cols_b, n_b, stats=stats_b)
+    block_a = _standardize(cat_a, raw_num_a, stats_a)
+    block_b = _standardize(cat_b, raw_num_b, stats_b)
     labeled = Segment(a=block_a.take(keep), b=block_b.take(keep), y=y[keep])
 
     def _load_pair(pair, with_labels: bool):
@@ -444,8 +460,8 @@ def load_csv(
             raise AlignmentError(
                 f"segment {pair[0]}: party A has {na} rows, party B has {nb} rows"
             )
-        ba, _ = _encode(schema_a, ca, na, stats=stats_a)
-        bb, _ = _encode(schema_b, cb, nb, stats=stats_b)
+        ba = _standardize(*_encode(schema_a, ca, na), stats_a)
+        bb = _standardize(*_encode(schema_b, cb, nb), stats_b)
         yy = None
         if with_labels:
             yv, bad = _parse_labels(lab)

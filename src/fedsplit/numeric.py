@@ -364,7 +364,13 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        if not np.all(np.isfinite(g)):
+        # g·g is finite when every element is, and needs no mask; only when
+        # it is not (a NaN, an inf, or a finite g whose squares overflow)
+        # does the exact elementwise check decide
+        f = g.ravel()
+        with np.errstate(over="ignore"):
+            screen = np.dot(f, f)
+        if not np.isfinite(screen) and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
         pair = state.work.get(name)
         if pair is None or pair[0].shape != p.shape or pair[0].dtype != p.dtype:

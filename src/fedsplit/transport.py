@@ -131,7 +131,11 @@ def body_length(header: bytes) -> int:
     magic, _, type_code, _, rows, cols = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
-    if MsgType(type_code) in MATRIX_TYPES:
+    try:
+        msg_type = MsgType(type_code)
+    except ValueError:
+        raise ProtocolError(f"unknown message type {type_code}") from None
+    if msg_type in MATRIX_TYPES:
         return rows * cols * 4
     return cols
 

@@ -1,9 +1,14 @@
 """Schemas, hashing, CSV ingestion, batching, and synthetic generators."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedsplit.data
 from fedsplit.data import (
     FeatureBlock,
     FieldSpec,
@@ -19,6 +24,8 @@ from fedsplit.data import (
     synth_categorical_pair,
     synth_federated,
     validation_split,
+    _compute_stats,
+    _parse_labels,
 )
 from fedsplit.errors import AlignmentError, SchemaError, ValidationError
 from fedsplit.metrics import auc
@@ -156,6 +163,204 @@ class TestLoadCsv:
         ds = load_csv(a, b, SCHEMA_A, SCHEMA_B, "label", test=(ta, tb))
         # labeled stats: mean 1, std 1 -> test value 4 standardizes to 3
         np.testing.assert_allclose(ds.test.a.num[0, 0], 3.0, rtol=1e-6)
+
+
+def reference_load_csv(path_a, path_b, schema_a, schema_b, label_column, *,
+                       unlabeled=None, test=None):
+    """Per-cell oracle for load_csv: every categorical cell is hashed with
+    hash_feature, and the labeled segment is encoded twice, once for its raw
+    numericals and once with the statistics taken from them. Returns the
+    segments by name and the rejected line numbers."""
+
+    def columns(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}, len(rows)
+
+    def encode(schema, cols, n, stats):
+        cat = np.zeros((n, len(schema.cat_fields)), dtype=np.int64)
+        for j, f in enumerate(schema.cat_fields):
+            cat[:, j] = [hash_feature(f, value) for value in cols[f.name]]
+        raw = np.full((n, len(schema.num_fields)), np.nan, dtype=np.float64)
+        for j, f in enumerate(schema.num_fields):
+            for i, cell in enumerate(cols[f.name]):
+                if cell != "":
+                    raw[i, j] = float(cell)
+        if stats is None:
+            stats = _compute_stats(raw)
+        standardized = (raw - stats.mean) / stats.std
+        standardized = np.where(np.isfinite(standardized), standardized, 0.0)
+        return FeatureBlock(cat=cat, num=standardized.astype(np.float32)), raw
+
+    cols_a, n = columns(path_a)
+    cols_b, _ = columns(path_b)
+    y, bad = _parse_labels(cols_a[label_column])
+    keep = np.array([i for i in range(n) if (i + 2) not in bad], dtype=np.int64)
+    _, raw_a = encode(schema_a, cols_a, n, None)
+    _, raw_b = encode(schema_b, cols_b, n, None)
+    stats_a = _compute_stats(raw_a[keep])
+    stats_b = _compute_stats(raw_b[keep])
+    block_a, _ = encode(schema_a, cols_a, n, stats_a)
+    block_b, _ = encode(schema_b, cols_b, n, stats_b)
+    segments = {"labeled": Segment(a=block_a.take(keep), b=block_b.take(keep), y=y[keep])}
+    for name, pair in (("unlabeled", unlabeled), ("test", test)):
+        if pair is not None:
+            pa, m = columns(pair[0])
+            pb, _ = columns(pair[1])
+            ya = _parse_labels(pa[label_column])[0] if label_column in pa else None
+            segments[name] = Segment(a=encode(schema_a, pa, m, stats_a)[0],
+                                     b=encode(schema_b, pb, m, stats_b)[0], y=ya)
+    return segments, tuple(bad)
+
+
+def assert_matches_reference(paths, schema_a, schema_b):
+    """load_csv equals the per-cell oracle byte for byte on every array."""
+    kwargs = {"unlabeled": paths["unlabeled"], "test": paths["test"]}
+    ds = load_csv(*paths["labeled"], schema_a, schema_b, "label", **kwargs)
+    ref, rejected = reference_load_csv(*paths["labeled"], schema_a, schema_b, "label",
+                                       **kwargs)
+    assert ds.rejected_lines == rejected
+    for name, want in ref.items():
+        got = getattr(ds, name)
+        for party in ("a", "b"):
+            for kind in ("cat", "num"):
+                g, w = getattr(getattr(got, party), kind), getattr(getattr(want, party), kind)
+                assert g.dtype == w.dtype and g.shape == w.shape, (name, party, kind)
+                assert g.tobytes() == w.tobytes(), (name, party, kind)
+        assert (got.y is None) == (want.y is None), name
+        if want.y is not None:
+            assert got.y.tobytes() == want.y.tobytes(), name
+
+
+INGEST_SCHEMA_A = PartySchema(
+    party="A",
+    fields=(
+        FieldSpec("desk", "categorical", buckets=24, embed_dim=2),
+        FieldSpec("spend", "numerical"),
+        FieldSpec("user", "categorical", buckets=1 << 16, embed_dim=2),
+        FieldSpec("age", "numerical"),
+    ),
+)
+INGEST_SCHEMA_B = PartySchema(
+    party="B",
+    fields=(
+        FieldSpec("site", "categorical", buckets=7, embed_dim=2),
+        FieldSpec("clicks", "numerical"),
+    ),
+)
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+def write_segments(directory, segments):
+    """Write {segment: (rows_a, rows_b)} CSV pairs; A's labeled and test
+    files carry the label column last."""
+    directory = Path(directory)
+    header_b = [f.name for f in INGEST_SCHEMA_B.fields]
+    paths = {"unlabeled": None, "test": None}
+    for name, (rows_a, rows_b) in segments.items():
+        header_a = [f.name for f in INGEST_SCHEMA_A.fields]
+        if name != "unlabeled":
+            header_a.append("label")
+        paths[name] = (write_rows(directory / f"{name}_a.csv", header_a, rows_a),
+                       write_rows(directory / f"{name}_b.csv", header_b, rows_b))
+    return paths
+
+
+INGEST_FIXTURE = {
+    "labeled": (
+        [["d1", "1.5", "u1", "30", "1"],
+         ["d1", "", "u2", "41", "0"],            # missing numerical
+         ["d2", "2.5", "hello, world", "", "1"],  # quoted comma
+         ["", "0.5", "u1", "25", "oops"],         # empty cell, rejected label
+         ["d2", "4.0", "Ünïcødé 東京", "33", "0"],  # non-ASCII
+         ["d1", "3.0", "u1", "52", "2"],          # rejected label
+         ["d3", "-1.0", "u9", "19", "1"]],
+        [["s1", "3"], ["s1", ""], ["s2", "5"], ["s1", "1"], ["", "2"], ["s1", "9"],
+         ["s3", "4"]],
+    ),
+    "unlabeled": (
+        [["d1", "7.0", "u1", ""], ["d4", "", "", "60"], ["d1", "1.0", "hello, world", "28"]],
+        [["s1", ""], ["s9", "8"], ["s1", "1"]],
+    ),
+    "test": (
+        [["d2", "2.0", "u2", "44", "1"], ["d2", "", "東京", "31", "0"]],
+        [["s2", "6"], ["", ""]],
+    ),
+}
+
+
+class TestIngestMatchesPerCellHashing:
+    def test_fixture_matches_reference(self, tmp_path):
+        paths = write_segments(tmp_path, INGEST_FIXTURE)
+        ds = load_csv(*paths["labeled"], INGEST_SCHEMA_A, INGEST_SCHEMA_B, "label",
+                      unlabeled=paths["unlabeled"], test=paths["test"])
+        assert ds.rejected_lines == (5, 7)
+        assert_matches_reference(paths, INGEST_SCHEMA_A, INGEST_SCHEMA_B)
+
+    def test_each_distinct_value_is_hashed_once_per_field_and_segment(
+        self, tmp_path, monkeypatch
+    ):
+        paths = write_segments(tmp_path, INGEST_FIXTURE)
+        calls = []
+        real = fedsplit.data.fnv1a64
+        monkeypatch.setattr(fedsplit.data, "fnv1a64", lambda b: calls.append(b) or real(b))
+        load_csv(*paths["labeled"], INGEST_SCHEMA_A, INGEST_SCHEMA_B, "label",
+                 unlabeled=paths["unlabeled"], test=paths["test"])
+        expected = 0
+        for rows_a, rows_b in INGEST_FIXTURE.values():
+            for schema, rows in ((INGEST_SCHEMA_A, rows_a), (INGEST_SCHEMA_B, rows_b)):
+                for j, f in enumerate(schema.fields):
+                    if f.kind == "categorical":
+                        expected += len({row[j] for row in rows})
+        assert len(calls) == expected
+
+    def test_malformed_numerical_names_field_and_line(self, tmp_path):
+        segments = {"labeled": ([["d1", "1.0", "u1", "30", "1"],
+                                 ["d1", "2.0", "u1", "forty", "0"]],
+                                [["s1", "1"], ["s1", "2"]])}
+        paths = write_segments(tmp_path, segments)
+        with pytest.raises(ValidationError, match="field 'age' line 3: not a number: 'forty'"):
+            load_csv(*paths["labeled"], INGEST_SCHEMA_A, INGEST_SCHEMA_B, "label")
+
+
+numerical_cells = st.one_of(
+    st.just(""), st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+)
+
+
+@st.composite
+def segment_rows(draw, labeled):
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4))
+    # drawing from a small pool makes values repeat, as they do in real columns
+    cat = st.one_of(st.sampled_from(pool), st.text(max_size=6))
+    label = [st.sampled_from(["0", "1", "0.0", "x", ""])] if labeled else []
+    rows_a = draw(st.lists(st.tuples(cat, numerical_cells, cat, numerical_cells, *label),
+                           min_size=n, max_size=n))
+    rows_b = draw(st.lists(st.tuples(cat, numerical_cells), min_size=n, max_size=n))
+    return [list(r) for r in rows_a], [list(r) for r in rows_b]
+
+
+# a numerical column with no value in the labeled rows has no statistics;
+# numpy says so, and load_csv then standardizes with mean 0 and std 1
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0:RuntimeWarning")
+@given(segment_rows(labeled=True), segment_rows(labeled=False), segment_rows(labeled=True))
+@settings(max_examples=60, deadline=None)
+def test_ingest_matches_per_cell_hashing_on_arbitrary_text(labeled, unlabeled, test):
+    for row in test[0]:
+        row[-1] = "1"  # a test segment with an unparseable label is refused
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_segments(directory, {"labeled": labeled, "unlabeled": unlabeled,
+                                           "test": test})
+        assert_matches_reference(paths, INGEST_SCHEMA_A, INGEST_SCHEMA_B)
 
 
 class TestBatches:

@@ -71,6 +71,14 @@ class TestFrameFormat:
         with pytest.raises(ProtocolError):
             decode_frame(bytes(raw[:22]), b"")
 
+    def test_unknown_type_code_rejected_before_the_body_is_read(self):
+        raw = bytearray(frame_of(MsgType.BYE))
+        raw[5] = 250
+        with pytest.raises(ProtocolError, match="unknown message type 250"):
+            body_length(bytes(raw[:22]))
+        with pytest.raises(ProtocolError, match="unknown message type 250"):
+            decode_frame(bytes(raw[:22]), b"")
+
     def test_matrix_frame_refuses_meta(self):
         with pytest.raises(ProtocolError):
             encode_frame(ProtocolMessage(MsgType.ACTIVATION, round=1,
