@@ -21,13 +21,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import PartitionedDataset
 from .errors import FedSplitError
 from .harness import (
-    METHODS,
     ExperimentConfig,
     FedSession,
     grid as run_grid,
@@ -37,7 +34,7 @@ from .harness import (
 )
 from .metrics import auc
 from .numeric import sigmoid
-from .splitnn import LocalModel, SplitModel, rng_for, save_model, schema_pair_hash
+from .splitnn import LocalModel, SplitModel, rng_for
 from .splitnn import STREAM_INIT_LOCAL_A
 
 
@@ -116,43 +113,29 @@ def _write_csv_pair(dataset: PartitionedDataset, out: Path, label_column: str) -
 
 
 def _cmd_pretrain(args) -> int:
-    from . import mpd as mpd_mod
-    from .harness import STREAM_INIT_MPD_TOP, _run_dir, _settings
-    from .splitnn import TopModel
+    from .harness import _pretrain_in, _run_dir
 
     config = _config_from(args)
     dataset = load_dataset(config)
     with FedSession(config, dataset) as session:
-        session.active.top = TopModel.create(
-            session.active.bottom.out_dim + config.bottom_b[-1],
-            config.top, rng_for(config.seed, STREAM_INIT_MPD_TOP),
-        )
-        settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
-                             batch=config.batch_pretrain, stage="mpd", patience=None)
-        result = mpd_mod.pretrain(
-            session.active, settings, k=config.k,
-            permute_party=config.permute_party,
-            frequency_weighted=config.frequency_weighted,
-            config_hash=config.config_hash(),
-        )
+        history = _pretrain_in(session, config)
         run_dir = _run_dir(config)
         if run_dir:
-            schema_hash = schema_pair_hash(dataset.schema_a, dataset.schema_b)
-            save_model(
+            save_checkpoint(
                 Path(run_dir) / "pretrained_bottom_a.ckpt",
                 {f"a.{k}": v for k, v in session.active.bottom.params().items()},
-                schema_hash,
+                session.schema_hash,
                 meta={"pretrain_config_hash": config.config_hash()},
             )
             session.save_passive("pretrained")
             (Path(run_dir) / "pretrain_metrics.jsonl").write_text(
-                result.history.to_jsonl(), encoding="utf-8"
+                history.to_jsonl(), encoding="utf-8"
             )
-        final = result.history.records[-1] if result.history.records else None
+        final = history.records[-1] if history.records else None
         print(json.dumps({
             "match_loss": final.train_loss if final else None,
             "match_accuracy": final.extra.get("match_accuracy") if final else None,
-            "epochs": len(result.history.records),
+            "epochs": len(history.records),
         }))
     return 0
 

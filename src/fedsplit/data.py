@@ -405,10 +405,12 @@ def _standardize(
     cat: np.ndarray, raw_num: np.ndarray, stats: NumericalStats
 ) -> FeatureBlock:
     """The encoded block, numericals standardized with the given statistics
-    (a non-finite result, such as a missing value, becomes 0)."""
-    standardized = (raw_num - stats.mean) / stats.std
-    standardized = np.where(np.isfinite(standardized), standardized, 0.0)
-    return FeatureBlock(cat=cat, num=standardized.astype(F32))
+    (a non-finite float32 result, such as a missing value or one beyond
+    float32 range, becomes 0)."""
+    with np.errstate(over="ignore"):
+        standardized = ((raw_num - stats.mean) / stats.std).astype(F32)
+    standardized[~np.isfinite(standardized)] = 0.0
+    return FeatureBlock(cat=cat, num=standardized)
 
 
 def load_csv(

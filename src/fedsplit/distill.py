@@ -106,30 +106,6 @@ def distill_loss(
     return loss, grad.astype(bce_grad.dtype)
 
 
-def distill_step(
-    student: LocalModel,
-    optimizer,
-    block: FeatureBlock,
-    y: np.ndarray,
-    soft: np.ndarray,
-    alpha: float,
-) -> float:
-    """One distillation step: forward, blended loss, backward, Adam."""
-    from .numeric import adam_step
-
-    logits, cache = student.forward(block)
-    loss, grad = distill_loss(logits, y, soft, alpha)
-    grads = student.backward(cache, grad)
-    adam_step(
-        optimizer,
-        student.params(),
-        grads,
-        decay_full=student.decay_full(),
-        decay_rows=student.touched_rows(cache),
-    )
-    return loss
-
-
 def distill(
     student: LocalModel,
     block: FeatureBlock,

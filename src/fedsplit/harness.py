@@ -17,8 +17,13 @@ A run executes one method's stage pipeline inside party sessions
 test AUC, and reports the absolute improvement over a baseline-local run
 with the same data and seed. Stage outputs are memoized per (stage, data,
 seed, hyperparameters) inside a RunContext so a method matrix shares its
-pretraining and teacher stages across methods; the cache is an in-process
-convenience and is never consulted over TCP.
+pretraining and teacher stages across methods.
+
+Each method is one row of PIPELINES, the list of its stages in order; `run`
+walks that row. A stage marked local trains party A alone and uses the
+caller's RunContext under either transport. Over TCP the federated stages
+run in the peer's one session, whose passive state flows from stage to
+stage, so they cache only within the run.
 """
 
 from __future__ import annotations
@@ -27,24 +32,20 @@ import configparser
 import hashlib
 import io
 import json
+import queue
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import mpd as mpd_mod
 from .checkpoint import save_checkpoint
-from .data import (
-    FeatureBlock,
-    PartitionedDataset,
-    SyntheticSpec,
-    load_csv,
-    load_schema,
-    synth_federated,
-    validation_split,
-)
+from .data import PartitionedDataset, SyntheticSpec, load_csv, load_schema, synth_federated
 from .distill import distill, teacher_predict
 from .errors import TransportTimeout, ValidationError
 from .metrics import MetricHistory, auc
@@ -53,7 +54,6 @@ from .splitnn import (
     STREAM_INIT_BOTTOM_A,
     STREAM_INIT_BOTTOM_B,
     STREAM_INIT_LOCAL_A,
-    STREAM_INIT_LOCAL_B,
     STREAM_INIT_MPD_TOP,
     STREAM_INIT_TOP,
     ActiveParty,
@@ -67,35 +67,9 @@ from .splitnn import (
     local_train,
     rng_for,
     schema_pair_hash,
-    split_key,
     train_supervised,
 )
 from .transport import MsgType, handshake, inproc_pair, tcp_accept, tcp_connect, tcp_listen
-
-METHODS = (
-    "baseline-local",
-    "vfl",
-    "vfl-st",
-    "vfl-mpd",
-    "local-sd",
-    "local-mpd",
-    "local-ssd",
-)
-
-_NEEDS_UNLABELED = {"vfl-st", "vfl-mpd", "local-mpd", "local-ssd"}
-_NEEDS_ALPHA = {"local-sd", "local-ssd"}
-LOCAL_METHODS = frozenset({"baseline-local", "local-sd", "local-mpd", "local-ssd"})
-
-METHOD_STAGES = {
-    "baseline-local": ["local-train"],
-    "vfl": ["fed-train"],
-    "vfl-st": ["fed-train-teacher", "soft-labels", "fed-train-soft", "fed-finetune"],
-    "vfl-mpd": ["mpd-pretrain", "fed-finetune"],
-    "local-sd": ["fed-train-teacher", "soft-labels", "distill"],
-    "local-mpd": ["mpd-pretrain", "local-finetune"],
-    "local-ssd": ["mpd-pretrain", "fed-finetune-teacher", "soft-labels", "distill"],
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -152,10 +126,6 @@ class ExperimentConfig:
 
     # behavior flags
     permute_party: str = "A"
-    frequency_weighted: bool = False
-    student_init_pretrained: bool = True
-    st_finetune: bool = True
-    distill_on_unlabeled: bool = False
 
     # execution
     transport: str = "inproc"  # inproc | tcp
@@ -199,13 +169,7 @@ class ExperimentConfig:
                 "epochs": self.epochs, "pretrain_epochs": self.pretrain_epochs,
                 "patience": self.patience,
             },
-            "flags": {
-                "permute_party": self.permute_party,
-                "frequency_weighted": self.frequency_weighted,
-                "student_init_pretrained": self.student_init_pretrained,
-                "st_finetune": self.st_finetune,
-                "distill_on_unlabeled": self.distill_on_unlabeled,
-            },
+            "flags": {"permute_party": self.permute_party},
             "exec": {
                 "transport": self.transport, "tcp_host": self.tcp_host,
                 "tcp_port": self.tcp_port, "out_dir": self.out_dir or "",
@@ -252,11 +216,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
+        """Build a config from "section.key" values; an unknown key is an
+        error. Every synthetic-spec key is accepted under either data kind."""
+
         def get(key, default):
             return flat.get(key, default)
-
-        def as_bool(value):
-            return str(value).strip().lower() in ("1", "true", "yes", "on")
 
         def widths(value):
             if isinstance(value, tuple):
@@ -264,6 +228,11 @@ class ExperimentConfig:
             return tuple(int(x) for x in str(value).split(",") if x != "")
 
         base = cls()
+        known = {f"{section}.{key}" for section, values in base.to_sections().items()
+                 for key in values}
+        for key in flat:
+            if key not in known and not key.startswith("data.csv_"):
+                raise ValidationError(f"unknown config key '{key}'")
         data_kind = str(get("data.kind", base.data_kind))
         synth = base.synth
         if data_kind == "synthetic":
@@ -308,14 +277,6 @@ class ExperimentConfig:
             pretrain_epochs=int(get("hyper.pretrain_epochs", base.pretrain_epochs)),
             patience=int(get("hyper.patience", base.patience)),
             permute_party=str(get("flags.permute_party", base.permute_party)),
-            frequency_weighted=as_bool(get("flags.frequency_weighted", base.frequency_weighted)),
-            student_init_pretrained=as_bool(
-                get("flags.student_init_pretrained", base.student_init_pretrained)
-            ),
-            st_finetune=as_bool(get("flags.st_finetune", base.st_finetune)),
-            distill_on_unlabeled=as_bool(
-                get("flags.distill_on_unlabeled", base.distill_on_unlabeled)
-            ),
             transport=str(get("exec.transport", base.transport)),
             tcp_host=str(get("exec.tcp_host", base.tcp_host)),
             tcp_port=int(get("exec.tcp_port", base.tcp_port)),
@@ -352,11 +313,49 @@ def load_dataset(config: ExperimentConfig) -> PartitionedDataset:
 # ---------------------------------------------------------------------------
 
 
+class _PassiveWorkers:
+    """Reused daemon threads that serve in-process passive parties. A new
+    thread per session may start while the last one is still exiting in the
+    C library; glibc then gives it a new malloc arena, whose retained heap
+    raises the process's peak memory by chance of timing."""
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0
+
+    def submit(self, fn) -> threading.Event:
+        """Run fn(), which must not raise, on an idle worker or else a new
+        one; the event is set once fn has returned."""
+        done = threading.Event()
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+            else:
+                threading.Thread(target=self._work, daemon=True).start()
+        self._jobs.put((fn, done))
+        return done
+
+    def _work(self):
+        while True:
+            fn, done = self._jobs.get()
+            fn()
+            del fn  # an idle worker must not keep its last session alive
+            # idle before done, so that the next session reuses this thread
+            with self._lock:
+                self._idle += 1
+            done.set()
+
+
+# one per process, so that every session in it reuses the same threads
+_PASSIVE_WORKERS = _PassiveWorkers()
+
+
 class FedSession:
     """A live two-party session: an ActiveParty plus a served passive peer.
 
-    In-process mode runs PassiveParty.serve() on a daemon thread over a
-    queue-backed channel pair; TCP mode connects to a peer started with
+    In-process mode runs PassiveParty.serve() on a reused worker thread over
+    a queue-backed channel pair; TCP mode connects to a peer started with
     `serve_party_b`. Either way, the active side sees the same object.
     """
 
@@ -373,7 +372,7 @@ class FedSession:
             config.top,
             rng_for(seed, STREAM_INIT_TOP),
         )
-        self._passive_thread: threading.Thread | None = None
+        self._passive_done: threading.Event | None = None
         self._passive_error: list[BaseException] = []
         self.passive: PassiveParty | None = None
 
@@ -388,8 +387,7 @@ class FedSession:
             )
             self.passive.schema_hash = self.schema_hash
             self.active = ActiveParty(chan_a, bottom_a, top, dataset)
-            self._passive_thread = threading.Thread(target=self._passive_main, daemon=True)
-            self._passive_thread.start()
+            self._passive_done = _PASSIVE_WORKERS.submit(self._passive_main)
         else:
             chan_a = tcp_connect(config.tcp_host, config.tcp_port, timeout=config.recv_timeout)
             self.active = ActiveParty(chan_a, bottom_a, top, dataset)
@@ -437,11 +435,11 @@ class FedSession:
             self.active.channel.send_new(MsgType.BYE)
         except Exception:
             pass
-        if self._passive_thread is not None:
-            self._passive_thread.join(timeout=self.config.recv_timeout)
+        if self._passive_done is not None:
+            finished = self._passive_done.wait(timeout=self.config.recv_timeout)
             if self._passive_error:
                 raise self._passive_error[0]
-            if self._passive_thread.is_alive():
+            if not finished:
                 raise TransportTimeout(
                     f"passive party still running {self.config.recv_timeout}s after BYE"
                 )
@@ -478,24 +476,6 @@ def _run_dir(config: ExperimentConfig) -> str | None:
     return str(path)
 
 
-class _SessionLease:
-    """Hands a shared session to `with` blocks without closing it on exit.
-
-    TCP pipelines run every stage inside the peer's single session; the
-    passive party's state flows from stage to stage in session order, which
-    is exactly the pipeline order.
-    """
-
-    def __init__(self, session: FedSession):
-        self._session = session
-
-    def __enter__(self) -> FedSession:
-        return self._session
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
 def _seed_passive(session: FedSession, params: dict) -> None:
     if session.passive is not None and params:
         session.set_passive_bottom(params)
@@ -530,82 +510,126 @@ def _settings(config, *, lr, epochs, batch, stage, patience) -> TrainSettings:
 def _pretrain_key(config):
     return ("mpd-pretrain", config.data_key(), config.seed, config.lr, config.l2,
             config.batch_pretrain, config.pretrain_epochs, config.k,
-            config.permute_party, config.frequency_weighted,
-            config.bottom_a, config.bottom_b, config.top)
+            config.permute_party, config.bottom_a, config.bottom_b, config.top)
 
 
-def _fed_key(config, stage_key, lr, parents=()):
+def _fed_key(config, stage_key, lr, parents):
     return ("fed-train", stage_key, config.data_key(), config.seed, lr, config.l2,
             config.batch_train, config.epochs, config.patience,
             config.bottom_a, config.bottom_b, config.top, parents)
 
 
-def _baseline_key(config, party):
+def _baseline_key(config):
     return ("baseline-local", config.data_key(), config.seed, config.lr, config.l2,
-            config.batch_train, config.epochs, config.patience,
-            config.bottom_a if party == "A" else config.bottom_b, config.top, party)
+            config.batch_train, config.epochs, config.patience, config.bottom_a, config.top)
 
 
-def _stage_baseline_local(config, dataset, ctx, *, party="A"):
-    """Plain single-party training; cached per (data, seed, hypers, party)."""
-
-    def build():
-        if party == "A":
-            schema, widths, stream = dataset.schema_a, config.bottom_a, STREAM_INIT_LOCAL_A
-            block, test_block = dataset.labeled.a, dataset.test.a
-        else:
-            schema, widths, stream = dataset.schema_b, config.bottom_b, STREAM_INIT_LOCAL_B
-            block, test_block = dataset.labeled.b, dataset.test.b
-        model = LocalModel.create(schema, widths, config.top, rng_for(config.seed, stream))
-        settings = _settings(config, lr=config.lr, epochs=config.epochs,
-                             batch=config.batch_train, stage="local",
-                             patience=config.patience)
-        history = local_train(model, block, dataset.labeled.y, settings)
-        scores = sigmoid(model.predict_logits(test_block))
-        return {
-            "params": copy_params(model.params()),
-            "history": history,
-            "test_auc": auc(scores, dataset.test.y).auc,
-        }
-
-    return ctx.stage(_baseline_key(config, party), build)
+# Every stage function takes (config, dataset, ctx, session_factory, done),
+# where `done` maps the names of the method's earlier stages to their
+# outputs, and returns its own output: a dict that may carry the stage's
+# "history" and, for a method's final stage, its "test_auc", its
+# "inference_messages" and its final "params".
 
 
-def _stage_mpd_pretrain(config, dataset, ctx, session_factory):
+def _stage_baseline_local(config, dataset, ctx, session_factory=None, done=None):
+    """Plain party-A training; cached per (data, seed, hyperparameters)."""
+    return ctx.stage(
+        _baseline_key(config),
+        lambda: _stage_student(config, dataset, ctx, session_factory, {}),
+    )
+
+
+def _stage_student(config, dataset, ctx, session_factory, done):
+    """Party A's single-party model, trained on the labeled rows.
+
+    After pretraining it starts from the pretrained bottom at the fine-tune
+    learning rate; after soft labels it is distilled from the teacher."""
+    pre = done.get("mpd-pretrain")
+    model = LocalModel.create(
+        dataset.schema_a, config.bottom_a, config.top,
+        rng_for(config.seed, STREAM_INIT_LOCAL_A),
+    )
+    if pre is not None:
+        model.bottom.set_params(copy_params(pre["bottom_a"]))
+    settings = _settings(config, lr=config.lr if pre is None else config.finetune_lr,
+                         epochs=config.epochs, batch=config.batch_train, stage="local",
+                         patience=config.patience)
+    if "soft-labels" in done:
+        history = distill(model, dataset.labeled.a, dataset.labeled.y,
+                          done["soft-labels"]["soft"], settings, alpha=config.alpha)
+    else:
+        history = local_train(model, dataset.labeled.a, dataset.labeled.y, settings)
+    scores = sigmoid(model.predict_logits(dataset.test.a))
+    return {
+        "params": copy_params(model.params()),
+        "history": history,
+        "test_auc": auc(scores, dataset.test.y).auc,
+    }
+
+
+def _pretrain_in(session, config) -> MetricHistory:
+    """Matched-pair pretraining inside an open session, against a
+    disposable match-task top."""
+    session.active.top = TopModel.create(
+        session.active.bottom.out_dim + config.bottom_b[-1],
+        config.top,
+        rng_for(config.seed, STREAM_INIT_MPD_TOP),
+    )
+    settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
+                         batch=config.batch_pretrain, stage="mpd", patience=None)
+    return mpd_mod.pretrain(session.active, settings, k=config.k,
+                            permute_party=config.permute_party).history
+
+
+def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
     """Matched-pair pretraining; returns both pretrained bottoms."""
 
     def build():
         with session_factory() as session:
-            # the match task trains against its own disposable top
-            session.active.top = TopModel.create(
-                session.active.bottom.out_dim + config.bottom_b[-1],
-                config.top,
-                rng_for(config.seed, STREAM_INIT_MPD_TOP),
-            )
-            settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
-                                 batch=config.batch_pretrain, stage="mpd", patience=None)
-            result = mpd_mod.pretrain(
-                session.active, settings,
-                k=config.k,
-                permute_party=config.permute_party,
-                frequency_weighted=config.frequency_weighted,
-                config_hash=config.config_hash(),
-            )
-        # no message answers the last gradient, so only close(), which joins
-        # the in-process passive thread, orders its last update before the copy
+            history = _pretrain_in(session, config)
+        # no message answers the last gradient, so only close(), which waits
+        # for the in-process passive party to return, orders its last update
+        # before the copy
         return {
             "bottom_a": copy_params(session.active.bottom.params()),
             "bottom_b": session.passive_bottom_params() if session.passive else {},
-            "mpd_top": copy_params(session.active.top.params()),
-            "history": result.history,
+            "history": history,
         }
 
     return ctx.stage(_pretrain_key(config), build)
 
 
-def _stage_fed_train(config, dataset, ctx, session_factory, *, lr, stage_key,
-                     init_bottoms=None, parents=()):
-    """One federated supervised stage; returns the final triple's params."""
+def _score_fed(config, dataset, session) -> dict:
+    """Federated test scoring: the AUC, the messages it took, and the
+    final triple's parameters."""
+    counters = session.active.channel.counters
+    before, _ = counters.snapshot()
+    probs = federated_eval_probs(
+        session.active, "test", batch_size=config.eval_batch, seed=config.seed
+    )
+    after, _ = counters.snapshot()
+    return {
+        "test_auc": auc(probs, dataset.test.y).auc,
+        "inference_messages": after - before,
+        "params": {
+            "a": copy_params(session.active.bottom.params()),
+            "b": session.passive_bottom_params() if session.passive else {},
+            "top": copy_params(session.active.top.params()),
+        },
+    }
+
+
+def _stage_fed_train(config, dataset, ctx, session_factory, done):
+    """One federated supervised stage, scored on the test segment.
+
+    After pretraining it fine-tunes from both pretrained bottoms at the
+    fine-tune learning rate; otherwise both bottoms start fresh."""
+    pre = done.get("mpd-pretrain")
+    if pre is None:
+        lr, stage_key, parents = config.lr, "vfl", ()
+    else:
+        lr, stage_key, parents = config.finetune_lr, "vfl-mpd-ft", _pretrain_key(config)
+    key = _fed_key(config, stage_key, lr, parents)
 
     def build():
         with session_factory() as session:
@@ -613,9 +637,9 @@ def _stage_fed_train(config, dataset, ctx, session_factory, *, lr, stage_key,
             # checkpoint or a deterministic fresh init, and the supervised
             # top is always fresh (the match-task top is never reused), so
             # a shared TCP session replays the in-process stage exactly
-            if init_bottoms is not None:
-                session.active.bottom.set_params(copy_params(init_bottoms["bottom_a"]))
-                _seed_passive(session, init_bottoms["bottom_b"])
+            if pre is not None:
+                session.active.bottom.set_params(copy_params(pre["bottom_a"]))
+                _seed_passive(session, pre["bottom_b"])
             else:
                 session.active.bottom = BottomModel.create(
                     dataset.schema_a, config.bottom_a,
@@ -631,25 +655,12 @@ def _stage_fed_train(config, dataset, ctx, session_factory, *, lr, stage_key,
                                  batch=config.batch_train, stage="fed",
                                  patience=config.patience)
             history = train_supervised(session.active, settings)
-            counters = session.active.channel.counters
-            before = sum(counters.sent.values()) + sum(counters.received.values())
-            probs = federated_eval_probs(
-                session.active, "test", batch_size=config.eval_batch, seed=config.seed
-            )
-            after = sum(counters.sent.values()) + sum(counters.received.values())
+            out = {"key": key, "history": history, **_score_fed(config, dataset, session)}
             if config.out_dir:
                 _save_fed_checkpoint(config, session, stage_key)
-            return {
-                "a": copy_params(session.active.bottom.params()),
-                "top": copy_params(session.active.top.params()),
-                "b": session.passive_bottom_params() if session.passive else {},
-                "history": history,
-                "test_auc": auc(probs, dataset.test.y).auc,
-                "test_probs": probs,
-                "inference_messages": after - before,
-            }
+            return out
 
-    return ctx.stage(_fed_key(config, stage_key, lr, parents), build)
+    return ctx.stage(key, build)
 
 
 def _save_fed_checkpoint(config, session, stage_key):
@@ -667,29 +678,51 @@ def _save_fed_checkpoint(config, session, stage_key):
     session.save_passive(stage_key)
 
 
-def _stage_soft_labels(config, dataset, ctx, session_factory, teacher, teacher_key, segment):
+def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
+    """The frozen teacher's probabilities over one segment; the stage
+    before this one is the teacher."""
+    *_, teacher = done.values()
+
     def build():
         with session_factory() as session:
-            session.active.bottom.set_params(copy_params(teacher["a"]))
-            session.active.top.set_params(copy_params(teacher["top"]))
-            _seed_passive(session, teacher["b"])
+            session.active.bottom.set_params(copy_params(teacher["params"]["a"]))
+            session.active.top.set_params(copy_params(teacher["params"]["top"]))
+            _seed_passive(session, teacher["params"]["b"])
             return teacher_predict(
                 session.active, segment,
                 teacher_hash=config.config_hash(),
                 batch_size=config.eval_batch, seed=config.seed,
             )
 
-    return ctx.stage(("soft-labels", segment, teacher_key), build)
+    return {"soft": ctx.stage(("soft-labels", segment, teacher["key"]), build)}
 
 
-def _student_model(config, dataset, init_bottom_params=None) -> LocalModel:
-    model = LocalModel.create(
-        dataset.schema_a, config.bottom_a, config.top,
-        rng_for(config.seed, STREAM_INIT_LOCAL_A),
-    )
-    if init_bottom_params is not None:
-        model.bottom.set_params(copy_params(init_bottom_params))
-    return model
+def _stage_self_train(config, dataset, ctx, session_factory, done):
+    """Self-training: a fresh model learns the teacher's soft view of the
+    unlabeled rows (recorded as done["fed-train-soft"]), then fine-tunes on
+    the hard labels and is scored, all in one session."""
+    with session_factory() as session:
+        session.reinit_passive([config.seed, STREAM_INIT_BOTTOM_B, 2])
+        session.active.bottom = BottomModel.create(
+            dataset.schema_a, config.bottom_a,
+            rng_for(config.seed, STREAM_INIT_BOTTOM_A, 2),
+        )
+        session.active.top = TopModel.create(
+            session.active.bottom.out_dim + config.bottom_b[-1], config.top,
+            rng_for(config.seed, STREAM_INIT_TOP, 2),
+        )
+        settings = _settings(config, lr=config.lr, epochs=config.epochs,
+                             batch=config.batch_train, stage="soft",
+                             patience=config.patience)
+        done["fed-train-soft"] = {"history": train_supervised(
+            session.active, settings,
+            train_segment="unlabeled", train_targets=done["soft-labels"]["soft"].probs,
+            phase_name="soft",
+        )}
+        ft = _settings(config, lr=config.finetune_lr, epochs=config.epochs,
+                       batch=config.batch_train, stage="fed", patience=config.patience)
+        history = train_supervised(session.active, ft)
+        return {"history": history, **_score_fed(config, dataset, session)}
 
 
 # ---------------------------------------------------------------------------
@@ -697,238 +730,52 @@ def _student_model(config, dataset, init_bottom_params=None) -> LocalModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PipelineResult:
-    stages: list[str]
-    histories: dict
-    test_auc: float
-    inference_messages: int
-    final_params: dict
+class Stage(NamedTuple):
+    name: str
+    # None: the next stage's function records this one, in the same session
+    fn: Callable | None
+    # a local stage trains party A alone, so it may use the caller's stage
+    # cache under any transport
+    local: bool = False
 
 
-def _pipeline(config, dataset, ctx, session_factory, progress: list) -> PipelineResult:
-    method = config.method
-    histories: dict = {}
+PIPELINES = {
+    "baseline-local": (Stage("local-train", _stage_baseline_local, local=True),),
+    "vfl": (Stage("fed-train", _stage_fed_train),),
+    "vfl-st": (
+        Stage("fed-train-teacher", _stage_fed_train),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="unlabeled")),
+        Stage("fed-train-soft", None),
+        Stage("fed-finetune", _stage_self_train),
+    ),
+    "vfl-mpd": (
+        Stage("mpd-pretrain", _stage_mpd_pretrain),
+        Stage("fed-finetune", _stage_fed_train),
+    ),
+    "local-sd": (
+        Stage("fed-train-teacher", _stage_fed_train),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled")),
+        Stage("distill", _stage_student, local=True),
+    ),
+    "local-mpd": (
+        Stage("mpd-pretrain", _stage_mpd_pretrain),
+        Stage("local-finetune", _stage_student, local=True),
+    ),
+    "local-ssd": (
+        Stage("mpd-pretrain", _stage_mpd_pretrain),
+        Stage("fed-finetune-teacher", _stage_fed_train),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled")),
+        Stage("distill", _stage_student, local=True),
+    ),
+}
 
-    if method == "baseline-local":
-        progress.append("local-train")
-        out = _stage_baseline_local(config, dataset, ctx)
-        histories["local-train"] = out["history"]
-        return PipelineResult(
-            stages=list(METHOD_STAGES[method]),
-            histories=histories,
-            test_auc=out["test_auc"],
-            inference_messages=0,
-            final_params=out["params"],
-        )
-
-    if method == "vfl":
-        progress.append("fed-train")
-        out = _stage_fed_train(config, dataset, ctx, session_factory,
-                               lr=config.lr, stage_key="vfl")
-        histories["fed-train"] = out["history"]
-        return PipelineResult(
-            stages=list(METHOD_STAGES[method]),
-            histories=histories,
-            test_auc=out["test_auc"],
-            inference_messages=out["inference_messages"],
-            final_params={"a": out["a"], "b": out["b"], "top": out["top"]},
-        )
-
-    if method == "vfl-st":
-        progress.append("fed-train-teacher")
-        teacher = _stage_fed_train(config, dataset, ctx, session_factory,
-                                   lr=config.lr, stage_key="vfl")
-        histories["fed-train-teacher"] = teacher["history"]
-        progress.append("soft-labels")
-        soft = _stage_soft_labels(config, dataset, ctx, session_factory,
-                                  teacher, _fed_key(config, "vfl", config.lr), "unlabeled")
-        progress.append("fed-train-soft")
-        with session_factory() as session:
-            # a fresh model learns the teacher's soft view of the unlabeled
-            # rows, then fine-tunes on the hard labels
-            session.reinit_passive([config.seed, STREAM_INIT_BOTTOM_B, 2])
-            session.active.bottom = BottomModel.create(
-                dataset.schema_a, config.bottom_a,
-                rng_for(config.seed, STREAM_INIT_BOTTOM_A, 2),
-            )
-            session.active.top = TopModel.create(
-                session.active.bottom.out_dim + config.bottom_b[-1], config.top,
-                rng_for(config.seed, STREAM_INIT_TOP, 2),
-            )
-            settings = _settings(config, lr=config.lr, epochs=config.epochs,
-                                 batch=config.batch_train, stage="soft",
-                                 patience=config.patience)
-            histories["fed-train-soft"] = train_supervised(
-                session.active, settings,
-                train_segment="unlabeled", train_targets=soft.probs,
-                phase_name="soft",
-            )
-            if config.st_finetune:
-                progress.append("fed-finetune")
-                ft = _settings(config, lr=config.finetune_lr, epochs=config.epochs,
-                               batch=config.batch_train, stage="fed",
-                               patience=config.patience)
-                histories["fed-finetune"] = train_supervised(session.active, ft)
-            counters = session.active.channel.counters
-            before = sum(counters.sent.values()) + sum(counters.received.values())
-            probs = federated_eval_probs(
-                session.active, "test", batch_size=config.eval_batch, seed=config.seed
-            )
-            after = sum(counters.sent.values()) + sum(counters.received.values())
-            final = {
-                "a": copy_params(session.active.bottom.params()),
-                "top": copy_params(session.active.top.params()),
-                "b": session.passive_bottom_params() if session.passive else {},
-            }
-        return PipelineResult(
-            stages=list(METHOD_STAGES[method]),
-            histories=histories,
-            test_auc=auc(probs, dataset.test.y).auc,
-            inference_messages=after - before,
-            final_params=final,
-        )
-
-    if method == "vfl-mpd":
-        progress.append("mpd-pretrain")
-        pre = _stage_mpd_pretrain(config, dataset, ctx, session_factory)
-        histories["mpd-pretrain"] = pre["history"]
-        progress.append("fed-finetune")
-        out = _stage_fed_train(
-            config, dataset, ctx, session_factory,
-            lr=config.finetune_lr, stage_key="vfl-mpd-ft",
-            init_bottoms=pre, parents=_pretrain_key(config),
-        )
-        histories["fed-finetune"] = out["history"]
-        return PipelineResult(
-            stages=list(METHOD_STAGES[method]),
-            histories=histories,
-            test_auc=out["test_auc"],
-            inference_messages=out["inference_messages"],
-            final_params={"a": out["a"], "b": out["b"], "top": out["top"]},
-        )
-
-    if method == "local-sd":
-        progress.append("fed-train-teacher")
-        teacher = _stage_fed_train(config, dataset, ctx, session_factory,
-                                   lr=config.lr, stage_key="vfl")
-        histories["fed-train-teacher"] = teacher["history"]
-        return _distill_pipeline(
-            config, dataset, ctx, session_factory, teacher,
-            teacher_key=_fed_key(config, "vfl", config.lr),
-            student_init=None, histories=histories,
-            stages=METHOD_STAGES["local-sd"], progress=progress,
-        )
-
-    if method == "local-mpd":
-        progress.append("mpd-pretrain")
-        pre = _stage_mpd_pretrain(config, dataset, ctx, session_factory)
-        histories["mpd-pretrain"] = pre["history"]
-        progress.append("local-finetune")
-        model = _student_model(config, dataset, init_bottom_params=pre["bottom_a"])
-        settings = _settings(config, lr=config.finetune_lr, epochs=config.epochs,
-                             batch=config.batch_train, stage="local",
-                             patience=config.patience)
-        histories["local-finetune"] = local_train(
-            model, dataset.labeled.a, dataset.labeled.y, settings
-        )
-        scores = sigmoid(model.predict_logits(dataset.test.a))
-        return PipelineResult(
-            stages=list(METHOD_STAGES[method]),
-            histories=histories,
-            test_auc=auc(scores, dataset.test.y).auc,
-            inference_messages=0,
-            final_params=copy_params(model.params()),
-        )
-
-    if method == "local-ssd":
-        progress.append("mpd-pretrain")
-        pre = _stage_mpd_pretrain(config, dataset, ctx, session_factory)
-        histories["mpd-pretrain"] = pre["history"]
-        progress.append("fed-finetune-teacher")
-        teacher = _stage_fed_train(
-            config, dataset, ctx, session_factory,
-            lr=config.finetune_lr, stage_key="vfl-mpd-ft",
-            init_bottoms=pre, parents=_pretrain_key(config),
-        )
-        histories["fed-finetune-teacher"] = teacher["history"]
-        student_init = pre["bottom_a"] if config.student_init_pretrained else None
-        return _distill_pipeline(
-            config, dataset, ctx, session_factory, teacher,
-            teacher_key=_fed_key(config, "vfl-mpd-ft", config.finetune_lr,
-                                 _pretrain_key(config)),
-            student_init=student_init, histories=histories,
-            stages=METHOD_STAGES["local-ssd"], progress=progress,
-        )
-
-    raise ValidationError(f"unknown method '{method}'")
-
-
-def _distill_pipeline(config, dataset, ctx, session_factory, teacher, *, teacher_key,
-                      student_init, histories, stages, progress):
-    progress.append("soft-labels")
-    soft = _stage_soft_labels(config, dataset, ctx, session_factory,
-                              teacher, teacher_key, "labeled")
-    progress.append("distill")
-    student = _student_model(config, dataset, init_bottom_params=student_init)
-    lr = config.finetune_lr if student_init is not None else config.lr
-    settings = _settings(config, lr=lr, epochs=config.epochs,
-                         batch=config.batch_train, stage="local",
-                         patience=config.patience)
-    if config.distill_on_unlabeled and dataset.unlabeled is not None:
-        soft_u = _stage_soft_labels(config, dataset, ctx, session_factory,
-                                    teacher, teacher_key, "unlabeled")
-        histories["distill"] = _distill_mixed(
-            student, dataset, soft, soft_u, settings, config.alpha
-        )
-    else:
-        histories["distill"] = distill(
-            student, dataset.labeled.a, dataset.labeled.y, soft, settings,
-            alpha=config.alpha,
-        )
-    scores = sigmoid(student.predict_logits(dataset.test.a))
-    return PipelineResult(
-        stages=list(stages),
-        histories=histories,
-        test_auc=auc(scores, dataset.test.y).auc,
-        inference_messages=0,
-        final_params=copy_params(student.params()),
-    )
-
-
-def _distill_mixed(student, dataset, soft_labeled, soft_unlabeled, settings, alpha):
-    """Distill on labeled rows (blended loss) plus unlabeled rows (soft term
-    only); validation still scores hard labels on the labeled split."""
-    from .numeric import PROB_EPS, bce_loss, bernoulli_kl
-
-    n_l = dataset.labeled.n_rows
-    n_u = dataset.unlabeled.n_rows
-    block = FeatureBlock.concat([dataset.labeled.a, dataset.unlabeled.a])
-    y = np.concatenate([dataset.labeled.y, np.zeros(n_u, dtype=np.float32)])
-    soft = np.concatenate([soft_labeled.probs, soft_unlabeled.probs])
-
-    def blended(logits, rows):
-        z64 = np.asarray(logits, dtype=np.float64)
-        q = sigmoid(z64)
-        p = np.clip(soft[rows].astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
-        kl_vals, kl_grad = bernoulli_kl(p, q)
-        m = len(rows)
-        loss = (1.0 - alpha) * float(np.mean(kl_vals))
-        grad = (1.0 - alpha) * kl_grad / m
-        labeled_sub = np.flatnonzero(rows < n_l)
-        if len(labeled_sub):
-            bce_value, bce_grad = bce_loss(logits[labeled_sub], y[rows][labeled_sub])
-            # bce_grad is already divided by the labeled count in the batch
-            loss += alpha * bce_value
-            grad = grad.copy()
-            grad[labeled_sub] += alpha * bce_grad
-        return loss, grad.astype(np.float32)
-
-    train_l, val_l = validation_split(n_l, split_key(settings.seed))
-    train_rows = np.concatenate([train_l, n_l + np.arange(n_u)])
-    val_data = (dataset.labeled.a.take(val_l), dataset.labeled.y[val_l]) if len(val_l) else None
-    return local_train(student, block, y, settings, loss_fn=blended,
-                       train_rows=train_rows, val_data=val_data)
+METHODS = tuple(PIPELINES)
+METHOD_STAGES = {method: [s.name for s in stages] for method, stages in PIPELINES.items()}
+# local serving: the final model is party A's alone
+LOCAL_METHODS = frozenset(m for m, stages in PIPELINES.items() if stages[-1].local)
+_NEEDS_UNLABELED = {m for m, names in METHOD_STAGES.items()
+                    if {"mpd-pretrain", "fed-train-soft"} & set(names)}
+_NEEDS_ALPHA = {m for m, names in METHOD_STAGES.items() if "distill" in names}
 
 
 # ---------------------------------------------------------------------------
@@ -989,9 +836,10 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
     cache) automatically.
     """
     config.validate()
-    # TCP pipelines always execute their stages in the peer's one session,
-    # so they never consult a caller-provided cache
-    ctx = RunContext() if (context is None or config.transport == "tcp") else context
+    ctx = context if context is not None else RunContext()
+    # over TCP the passive peer's state flows from stage to stage in session
+    # order, so federated stages cache only within this run
+    fed_ctx = RunContext() if config.transport == "tcp" else ctx
     if dataset is None:
         dataset = load_dataset(config)
     t0 = time.perf_counter()
@@ -1000,22 +848,28 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
 
     def session_factory():
         if config.transport == "tcp":
+            # every stage runs in the peer's one session, lent to each `with`
+            # block without closing it: the passive party's state flows from
+            # stage to stage in session order, which is the pipeline order
             if not shared:
                 shared.append(FedSession(config, dataset))
                 sessions.append(shared[0])
-            return _SessionLease(shared[0])
+            return nullcontext(shared[0])
         session = FedSession(config, dataset)
         sessions.append(session)
         return session
 
-    progress: list = []
+    stages = PIPELINES[config.method]
+    done: dict = {}
     failed_stage = None
     error = None
-    result = None
     try:
-        result = _pipeline(config, dataset, ctx, session_factory, progress)
+        for stage in stages:
+            if stage.fn is not None:
+                done[stage.name] = stage.fn(config, dataset, ctx if stage.local else fed_ctx,
+                                            session_factory, done)
     except Exception as exc:
-        failed_stage = progress[-1] if progress else "setup"
+        failed_stage = next(s.name for s in stages if s.name not in done)
         error = f"{type(exc).__name__}: {exc}"
     finally:
         if shared:
@@ -1023,6 +877,7 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
                 shared[0].close()
             except Exception:
                 pass
+    final = done[stages[-1].name] if failed_stage is None else None
 
     sent: dict = {}
     received: dict = {}
@@ -1039,60 +894,59 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
 
     baseline_auc = None
     improvement = None
-    if result is not None:
+    if final is not None:
         if config.method == "baseline-local":
-            baseline_auc = result.test_auc
+            baseline_auc = final["test_auc"]
         else:
             base = _stage_baseline_local(config, dataset, ctx)
             baseline_auc = base["test_auc"]
-            improvement = result.test_auc - baseline_auc
+            improvement = final["test_auc"] - baseline_auc
 
     report = RunReport(
         config_hash=config.config_hash(),
         method=config.method,
         seed=config.seed,
-        test_auc=result.test_auc if result else None,
+        test_auc=final["test_auc"] if final else None,
         baseline_auc=baseline_auc,
         improvement=improvement,
-        stages=result.stages if result else list(METHOD_STAGES.get(config.method, [])),
-        histories=result.histories if result else {},
+        stages=list(METHOD_STAGES[config.method]),
+        histories={name: out["history"] for name, out in done.items() if "history" in out}
+        if final else {},
         messages_sent=sent,
         messages_received=received,
         bytes_sent=bytes_sent,
         bytes_received=bytes_received,
-        inference_messages=result.inference_messages if result else 0,
+        inference_messages=final.get("inference_messages", 0) if final else 0,
         wall_time=time.perf_counter() - t0,
         failed_stage=failed_stage,
         error=error,
     )
-    _write_artifacts(config, report, result)
+    _write_artifacts(config, report, final)
     return report
 
 
-def _write_artifacts(config, report, result):
+def _write_artifacts(config, report, final):
     run_dir = _run_dir(config)
     if run_dir is None:
         return
     root = Path(run_dir)
     (root / "resolved.cfg").write_text(config.resolved_text(), encoding="utf-8")
     (root / "report.json").write_text(report.to_json(), encoding="utf-8")
-    if result is None:
+    if final is None:
         return
-    for stage, history in result.histories.items():
+    for stage, history in report.histories.items():
         stage_dir = root / stage
         stage_dir.mkdir(parents=True, exist_ok=True)
         (stage_dir / "metrics.jsonl").write_text(history.to_jsonl(), encoding="utf-8")
-    nested = result.final_params and isinstance(
-        next(iter(result.final_params.values())), dict
-    )
-    if nested:
+    params = final["params"]
+    if params and isinstance(next(iter(params.values())), dict):
         flat = {
             f"{side}.{name}": value
-            for side, params in result.final_params.items()
-            for name, value in params.items()
+            for side, side_params in params.items()
+            for name, value in side_params.items()
         }
     else:
-        flat = dict(result.final_params)
+        flat = dict(params)
     save_checkpoint(
         root / "final.ckpt", flat, schema_hash="",
         meta={"method": config.method, "config_hash": config.config_hash()},

@@ -27,22 +27,20 @@ exact counts on a small categorical dataset.
 from __future__ import annotations
 
 import math
-import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Batch, FeatureBlock, batch_indices
+from .data import Batch, FeatureBlock
 from .errors import ProtocolError, ValidationError
-from .metrics import EpochRecord, MetricHistory
+from .metrics import MetricHistory
 from .numeric import F32, log_sigmoid, sigmoid
 from .splitnn import (
     STREAM_DERANGE,
     ActiveParty,
     SplitModel,
     TrainSettings,
-    shuffle_key,
+    _epoch_loop,
     _prefix,
 )
 from .transport import MsgType
@@ -64,55 +62,6 @@ def sample_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
-def sample_weighted_derangement(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Derangement whose sources are drawn proportionally to `weights`.
-
-    Sequential weighted choice without replacement, rejecting fixed points;
-    if the final slot can only self-map, it is repaired by swapping with a
-    random earlier destination. Not uniform over derangements -- it biases
-    sources toward high-weight (frequent) rows.
-    """
-    n = len(weights)
-    if n < 2:
-        raise ValidationError(f"no derangement exists for n={n}")
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValidationError("weights must be positive")
-    mapping = np.empty(n, dtype=np.int64)
-    available = list(range(n))
-    avail_w = list(w)
-    for dest in range(n):
-        if len(available) == 1:
-            mapping[dest] = available[0]
-            break
-        choices = [s for s in available if s != dest]
-        probs = np.array([w[s] for s in choices], dtype=np.float64)
-        probs /= probs.sum()
-        source = choices[rng.choice(len(choices), p=probs)]
-        mapping[dest] = source
-        pos = available.index(source)
-        available.pop(pos)
-        avail_w.pop(pos)
-    if mapping[n - 1] == n - 1:
-        j = int(rng.integers(0, n - 1))
-        mapping[n - 1], mapping[j] = mapping[j], mapping[n - 1]
-    return mapping
-
-
-def _row_counts(block: FeatureBlock) -> np.ndarray:
-    """How many times each row's raw value occurs within the block."""
-    counts = np.empty(block.n_rows, dtype=np.float64)
-    raws = [
-        block.cat[i].tobytes() + block.num[i].tobytes() for i in range(block.n_rows)
-    ]
-    tally: dict[bytes, int] = {}
-    for raw in raws:
-        tally[raw] = tally.get(raw, 0) + 1
-    for i, raw in enumerate(raws):
-        counts[i] = tally[raw]
-    return counts
-
-
 @dataclass
 class MpdBatch:
     """One positive batch plus its k permuted negative batches."""
@@ -130,7 +79,6 @@ def build_mpd_batch(
     rng: np.random.Generator,
     *,
     permute_party: str = "A",
-    frequency_weighted: bool = False,
 ) -> MpdBatch:
     """Build the positive/negative pair batches for one unlabeled batch.
 
@@ -145,11 +93,7 @@ def build_mpd_batch(
     if permute_party not in ("A", "B"):
         raise ValidationError("permute_party must be 'A' or 'B'")
     moving = batch.a if permute_party == "A" else batch.b
-    if frequency_weighted:
-        weights = _row_counts(moving)
-        perms = [sample_weighted_derangement(weights, rng) for _ in range(k)]
-    else:
-        perms = [sample_derangement(m, rng) for _ in range(k)]
+    perms = [sample_derangement(m, rng) for _ in range(k)]
     moved = FeatureBlock.concat([moving.take(p) for p in perms])
     fixed = FeatureBlock.concat([batch.b if permute_party == "A" else batch.a] * k)
     if permute_party == "A":
@@ -183,17 +127,14 @@ def mpd_loss(
 
 @dataclass
 class PretrainResult:
-    """What pretraining leaves behind.
+    """What pretraining leaves behind besides the trained models.
 
-    Fine-tuning and distillation consume only the bottom encoders (reached
-    through the party objects); the match-task top stays here for
-    diagnostics such as the PMI probe.
+    Fine-tuning and distillation consume only the bottom encoders, reached
+    through the party objects; the match-task top stays on the active
+    party for diagnostics such as the PMI probe.
     """
 
     history: MetricHistory
-    mpd_top: object
-    config_hash: str = ""
-    skipped_batches: int = 0
 
 
 def pretrain(
@@ -202,85 +143,41 @@ def pretrain(
     *,
     k: int = 1,
     permute_party: str = "A",
-    frequency_weighted: bool = False,
-    config_hash: str = "",
 ) -> PretrainResult:
     """Federated matched-pair pretraining over the unlabeled segment.
 
-    Runs the full epoch budget (no early stopping: there is no labeled
-    validation signal), tracking the match loss and match accuracy per
-    epoch. Batches that shrink below 2 rows are skipped and counted. The
-    label column is never touched: this path reads only feature blocks.
+    Runs the full epoch budget through the shared epoch loop (no early
+    stopping: there is no labeled validation signal), tracking the match
+    loss and match accuracy per epoch. A final batch of a single row is
+    dropped, since it has no derangement. The label column is never
+    touched: this path reads only feature blocks.
     """
     dataset = active.dataset
     if dataset.unlabeled is None or dataset.unlabeled.n_rows < 2:
         raise ValidationError("pretraining needs an unlabeled segment with >= 2 rows")
     seg = dataset.unlabeled
-    n = seg.n_rows
     active.start_phase(settings, "mpd")
-    history = MetricHistory()
-    skipped = 0
+    tally = [0, 0]  # correct and classified match decisions this epoch
 
-    for epoch in range(1, settings.epochs + 1):
-        t0 = time.perf_counter()
-        counters = active.channel.counters
-        msgs_before = sum(counters.sent.values()) + sum(counters.received.values())
-        skey = shuffle_key(settings.seed, "mpd", epoch)
-        active.channel.send_new(
-            MsgType.CONTROL,
-            meta={
-                "cmd": "epoch",
-                "segment": "unlabeled",
-                "subset": "all",
-                "split_seed": str(settings.seed),
-                "shuffle": ",".join(str(x) for x in skey),
-                "batch_size": str(settings.batch_size),
-                "drop_short": "1",
-            },
-        )
-        loss_sum = 0.0
-        hits = 0
-        total = 0
-        n_seen = 0
-        for batch_no, pos in enumerate(
-            batch_indices(n, settings.batch_size, skey, drop_short=True)
-        ):
-            m = len(pos)
-            if m < 2:  # unreachable with drop_short; kept as a guard
-                skipped += 1
-                warnings.warn("skipping matched-pair batch with fewer than 2 rows")
-                continue
-            rng = np.random.default_rng(
-                [settings.seed, STREAM_DERANGE, epoch, batch_no]
-            )
-            block_a = seg.a.take(pos)
-            if frequency_weighted:
-                weights = _row_counts(block_a if permute_party == "A" else seg.b.take(pos))
-                perms = [sample_weighted_derangement(weights, rng) for _ in range(k)]
-            else:
-                perms = [sample_derangement(m, rng) for _ in range(k)]
-            loss = _mpd_protocol_step(active, block_a, perms, permute_party)
-            loss_sum += loss[0] * m
-            hits += loss[1]
-            total += loss[2]
-            n_seen += m
-        msgs_after = sum(counters.sent.values()) + sum(counters.received.values())
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / max(n_seen, 1),
-                val_auc=None,
-                wall_time=time.perf_counter() - t0,
-                messages_sent=msgs_after - msgs_before,
-                extra={"match_accuracy": hits / max(total, 1)},
-            )
-        )
-    return PretrainResult(
-        history=history,
-        mpd_top=active.top,
-        config_hash=config_hash,
-        skipped_batches=skipped,
+    def step(epoch, batch_no, rows, diverged):
+        rng = np.random.default_rng([settings.seed, STREAM_DERANGE, epoch, batch_no])
+        perms = [sample_derangement(len(rows), rng) for _ in range(k)]
+        loss, hits, total = _mpd_protocol_step(active, seg.a.take(rows), perms, permute_party)
+        tally[0] += hits
+        tally[1] += total
+        return loss
+
+    def end_epoch(is_best):
+        hits, total = tally
+        tally[:] = [0, 0]
+        return {"match_accuracy": hits / max(total, 1)}
+
+    history = _epoch_loop(
+        replace(settings, stage="mpd"), np.arange(seg.n_rows), step,
+        channel=active.channel, segment="unlabeled", drop_short=True,
+        end_epoch=end_epoch,
     )
+    return PretrainResult(history=history)
 
 
 def _mpd_protocol_step(

@@ -18,6 +18,11 @@ Both parties derive identical batch schedules from shared integer seed keys
 active party drives; the passive party is a message-driven state machine
 (`PassiveParty.serve`) that behaves identically over the in-process and TCP
 transports.
+
+Every trainer -- federated supervised (`train_supervised`), single-party
+(`local_train`) and matched-pair pretraining (`mpd.pretrain`) -- runs the
+one epoch loop `_epoch_loop` and plugs in its own per-batch step, its
+validation, and its best-snapshot and restore hooks.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import FeatureBlock, PartitionedDataset, PartySchema, batch_indices, validation_split
 from .errors import ProtocolError, ShapeError, StateError, ValidationError
-from .metrics import EpochRecord, MetricHistory, early_stop
+from .metrics import IMPROVEMENT_EPS, EpochRecord, MetricHistory, auc, early_stop
 from .numeric import (
     F32,
     RELU,
@@ -677,6 +682,98 @@ def federated_eval_probs(
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=F32)
 
 
+def _epoch_loop(
+    settings: TrainSettings,
+    train_rows: np.ndarray,
+    step: Callable,
+    *,
+    channel: Channel | None = None,
+    segment: str = "labeled",
+    subset: str = "all",
+    drop_short: bool = False,
+    validate: Callable | None = None,
+    snapshot: Callable | None = None,
+    restore: Callable | None = None,
+    end_epoch: Callable | None = None,
+) -> MetricHistory:
+    """The epoch loop of every trainer.
+
+    Each epoch walks `train_rows` in the order of the stage's shuffle key;
+    a federated loop (one given the active party's `channel`) first tells
+    the passive party which segment and subset to walk. Per batch it calls
+    step(epoch, batch_no, rows, diverged), which returns the batch loss, or
+    None for a diverged batch that applied no update. After the batches come
+    validate(diverged) -> AUC or None, a snapshot() of a new best (validation
+    AUC above the best so far by more than IMPROVEMENT_EPS), end_epoch(is_best)
+    -> extra record fields, and one EpochRecord with the epoch's frame and byte
+    deltas. The loop stops after a diverged epoch, or early when validation
+    stalls for `patience` epochs, and finally restore()s the best snapshot.
+    """
+    history = MetricHistory()
+    best_auc = -np.inf
+    best = None
+    for epoch in range(1, settings.epochs + 1):
+        t0 = time.perf_counter()
+        frames0, bytes0 = channel.counters.snapshot() if channel is not None else (0, 0)
+        skey = shuffle_key(settings.seed, settings.stage, epoch)
+        if channel is not None:
+            channel.send_new(
+                MsgType.CONTROL,
+                meta={
+                    "cmd": "epoch",
+                    "segment": segment,
+                    "subset": subset,
+                    "split_seed": str(settings.seed),
+                    "shuffle": ",".join(str(k) for k in skey),
+                    "batch_size": str(settings.batch_size),
+                    "drop_short": "1" if drop_short else "0",
+                },
+            )
+        loss_sum = 0.0
+        n_seen = 0
+        diverged = False
+        batches = batch_indices(len(train_rows), settings.batch_size, skey, drop_short=drop_short)
+        for batch_no, pos in enumerate(batches):
+            rows = train_rows[pos]
+            loss = step(epoch, batch_no, rows, diverged)
+            if loss is None:
+                diverged = True
+                continue
+            loss_sum += loss * len(rows)
+            n_seen += len(rows)
+
+        val_auc = validate(diverged) if validate is not None else None
+        is_best = val_auc is not None and val_auc > best_auc + IMPROVEMENT_EPS
+        if is_best:
+            best_auc = val_auc
+            best = snapshot()
+        extra = (end_epoch(is_best) if end_epoch is not None else None) or {}
+        if diverged:
+            extra["diverged"] = True
+        frames1, bytes1 = channel.counters.snapshot() if channel is not None else (0, 0)
+        history.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=loss_sum / max(n_seen, 1),
+                val_auc=val_auc,
+                wall_time=time.perf_counter() - t0,
+                messages_sent=frames1 - frames0,
+                bytes_sent=bytes1 - bytes0,
+                extra=extra,
+            )
+        )
+        if diverged:
+            break
+        if validate is not None and settings.patience is not None:
+            stop, _ = early_stop(history.val_aucs, settings.patience)
+            if stop:
+                break
+
+    if best is not None:
+        restore(best)
+    return history
+
+
 def train_supervised(
     active: ActiveParty,
     settings: TrainSettings,
@@ -690,111 +787,60 @@ def train_supervised(
 
     train_targets overrides the targets for the training segment (soft
     labels for self-training); validation always scores against the labeled
-    segment's hard labels.
+    segment's hard labels. Once a batch's loss is non-finite, it and every
+    later batch of the epoch send a zero gradient and apply no update, so
+    the passive party stays in lockstep; the run then ends after the epoch.
     """
-    from .metrics import auc as auc_fn
+    labeled = _segment_of(active.dataset, "labeled")
+    seg = _segment_of(active.dataset, train_segment)
+    targets = seg.y if train_targets is None else train_targets
+    if targets is None:
+        raise ValidationError(f"segment '{train_segment}' has no labels")
+    if len(targets) != seg.n_rows:
+        raise ValidationError("train_targets length does not match the segment")
 
-    dataset = active.dataset
-    labeled = _segment_of(dataset, "labeled")
-    seg = _segment_of(dataset, train_segment)
-    if train_targets is None:
-        if seg.y is None:
-            raise ValidationError(f"segment '{train_segment}' has no labels")
-        targets = seg.y
-    else:
-        if len(train_targets) != seg.n_rows:
-            raise ValidationError("train_targets length does not match the segment")
-        targets = train_targets
-
-    if train_segment == "labeled":
-        train_rows, val_rows = validation_split(labeled.n_rows, split_key(settings.seed))
-        subset = "train"
-    else:
+    train_rows, val_rows = validation_split(labeled.n_rows, split_key(settings.seed))
+    subset = "train"
+    if train_segment != "labeled":
         train_rows = np.arange(seg.n_rows)
-        _, val_rows = validation_split(labeled.n_rows, split_key(settings.seed))
         subset = "all"
     use_val = len(val_rows) > 0 and labeled.y is not None
-
     active.start_phase(settings, phase_name)
-    history = MetricHistory()
-    best_auc = -np.inf
-    best_params: dict[str, np.ndarray] | None = None
 
-    for epoch in range(1, settings.epochs + 1):
-        t0 = time.perf_counter()
-        counters = active.channel.counters
-        msgs_before = sum(counters.sent.values()) + sum(counters.received.values())
-        bytes_before = counters.bytes_sent + counters.bytes_received
-        skey = shuffle_key(settings.seed, settings.stage, epoch)
-        active.channel.send_new(
-            MsgType.CONTROL,
-            meta={
-                "cmd": "epoch",
-                "segment": train_segment,
-                "subset": subset,
-                "split_seed": str(settings.seed),
-                "shuffle": ",".join(str(k) for k in skey),
-                "batch_size": str(settings.batch_size),
-                "drop_short": "0",
-            },
+    def step(epoch, batch_no, rows, diverged):
+        logits = active.forward_step(seg.a.take(rows))
+        loss, grad = bce_loss(logits, targets[rows])
+        if diverged or not np.isfinite(loss):
+            active.backward_step(np.zeros_like(grad))
+            return None
+        active.apply_update(active.backward_step(grad))
+        return loss
+
+    def validate(diverged):
+        if diverged:
+            return None
+        probs = federated_eval_probs(
+            active, "labeled", subset="val",
+            batch_size=settings.eval_batch_size, seed=settings.seed,
         )
-        loss_sum = 0.0
-        n_seen = 0
-        diverged = False
-        for pos in batch_indices(len(train_rows), settings.batch_size, skey):
-            rows = train_rows[pos]
-            logits = active.forward_step(seg.a.take(rows))
-            loss, grad = bce_loss(logits, targets[rows])
-            if not np.isfinite(loss):
-                # keep lockstep with the waiting passive party; the run ends
-                # after this epoch and restores the last good checkpoint
-                diverged = True
-            if diverged:
-                active.backward_step(np.zeros_like(grad))
-                continue
-            grads = active.backward_step(grad)
-            active.apply_update(grads)
-            loss_sum += loss * len(rows)
-            n_seen += len(rows)
+        return auc(probs, labeled.y[val_rows]).auc
 
-        val_auc = None
-        if use_val and not diverged:
-            probs = federated_eval_probs(
-                active, "labeled", subset="val",
-                batch_size=settings.eval_batch_size, seed=settings.seed,
-            )
-            val_auc = auc_fn(probs, labeled.y[val_rows]).auc
-
-        is_best = val_auc is not None and val_auc > best_auc + 1e-5
-        if is_best:
-            best_auc = val_auc
-            best_params = copy_params(active.my_params())
+    def end_epoch(is_best):
         active.channel.send_new(
             MsgType.CONTROL, meta={"cmd": "epoch-end", "best": "1" if is_best else "0"}
         )
-        msgs_after = sum(counters.sent.values()) + sum(counters.received.values())
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / max(n_seen, 1),
-                val_auc=val_auc,
-                wall_time=time.perf_counter() - t0,
-                messages_sent=msgs_after - msgs_before,
-                bytes_sent=counters.bytes_sent + counters.bytes_received - bytes_before,
-                extra={"diverged": True} if diverged else {},
-            )
-        )
-        if diverged:
-            break
-        if use_val and settings.patience is not None:
-            stop, _ = early_stop(history.val_aucs, settings.patience)
-            if stop:
-                break
 
-    if best_params is not None:
-        active.set_my_params(best_params)
+    def restore(best):
+        active.set_my_params(best)
         active.channel.send_new(MsgType.CONTROL, meta={"cmd": "restore-best"})
-    return history
+
+    return _epoch_loop(
+        settings, train_rows, step,
+        channel=active.channel, segment=train_segment, subset=subset,
+        validate=validate if use_val else None,
+        snapshot=lambda: copy_params(active.my_params()), restore=restore,
+        end_epoch=end_epoch,
+    )
 
 
 def local_train(
@@ -807,7 +853,7 @@ def local_train(
     train_rows: np.ndarray | None = None,
     val_data: tuple | None = None,
 ) -> MetricHistory:
-    """Single-party training loop, shared by the local baselines and by
+    """Single-party training, shared by the local baselines and by
     distillation (which plugs in its blended loss via loss_fn).
 
     loss_fn(logits, rows) must return (loss, dloss/dlogits); the default is
@@ -815,6 +861,8 @@ def local_train(
     deterministic 1/20 split of the provided rows; callers may instead pass
     an explicit training-row pool and (val_block, val_y) pair. Early
     stopping and best-checkpoint restoration match the federated trainer.
+    A batch with a non-finite loss is skipped, the rest of its epoch still
+    steps and validates, and the run ends after that epoch.
     """
     if len(y) != block.n_rows:
         raise ValidationError(f"{len(y)} labels for {block.n_rows} rows")
@@ -827,78 +875,28 @@ def local_train(
             val_data = (block.take(val_rows), y[val_rows])
     use_val = val_data is not None and val_data[0].n_rows > 0
     optimizer = settings.adam()
-    history = MetricHistory()
-    best_auc = -np.inf
-    best_params: dict[str, np.ndarray] | None = None
 
-    from .metrics import auc as auc_fn
-
-    for epoch in range(1, settings.epochs + 1):
-        t0 = time.perf_counter()
-        skey = shuffle_key(settings.seed, settings.stage, epoch)
-        loss_sum = 0.0
-        n_seen = 0
-        diverged = False
-        for pos in batch_indices(len(train_rows), settings.batch_size, skey):
-            rows = train_rows[pos]
-            logits, cache = model.forward(block.take(rows))
-            loss, grad = loss_fn(logits, rows)
-            if not np.isfinite(loss):
-                diverged = True
-                continue
-            grads = model.backward(cache, grad)
-            adam_step(
-                optimizer,
-                model.params(),
-                grads,
-                decay_full=model.decay_full(),
-                decay_rows=model.touched_rows(cache),
-            )
-            loss_sum += loss * len(rows)
-            n_seen += len(rows)
-        val_auc = None
-        if use_val:
-            val_block, val_y = val_data
-            val_logits = model.predict_logits(val_block)
-            val_auc = auc_fn(sigmoid(val_logits), val_y).auc
-            if val_auc > best_auc + 1e-5:
-                best_auc = val_auc
-                best_params = copy_params(model.params())
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / max(n_seen, 1),
-                val_auc=val_auc,
-                wall_time=time.perf_counter() - t0,
-            )
+    def step(epoch, batch_no, rows, diverged):
+        logits, cache = model.forward(block.take(rows))
+        loss, grad = loss_fn(logits, rows)
+        if not np.isfinite(loss):
+            return None
+        grads = model.backward(cache, grad)
+        adam_step(
+            optimizer,
+            model.params(),
+            grads,
+            decay_full=model.decay_full(),
+            decay_rows=model.touched_rows(cache),
         )
-        if diverged:
-            break
-        if use_val and settings.patience is not None:
-            stop, _ = early_stop(history.val_aucs, settings.patience)
-            if stop:
-                break
+        return loss
 
-    if best_params is not None:
-        model.set_params(best_params)
-    return history
+    def validate(diverged):
+        val_block, val_y = val_data
+        return auc(sigmoid(model.predict_logits(val_block)), val_y).auc
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint helpers
-# ---------------------------------------------------------------------------
-
-
-def save_model(path, params: Mapping[str, np.ndarray], schema_hash: str,
-               meta: dict | None = None) -> None:
-    ckpt.save_checkpoint(path, dict(params), schema_hash, meta=meta)
-
-
-def load_into(model, path, *, expect_schema_hash: str | None = None) -> dict:
-    params, schema_hash, meta = ckpt.load_checkpoint(path)
-    if expect_schema_hash is not None and schema_hash != expect_schema_hash:
-        raise ValidationError(
-            f"checkpoint schema hash {schema_hash} != expected {expect_schema_hash}"
-        )
-    model.set_params(params)
-    return meta
+    return _epoch_loop(
+        settings, train_rows, step,
+        validate=validate if use_val else None,
+        snapshot=lambda: copy_params(model.params()), restore=model.set_params,
+    )

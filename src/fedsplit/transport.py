@@ -166,6 +166,11 @@ class ChannelCounters:
         else:
             self.bytes_received += nbytes
 
+    def snapshot(self) -> tuple[int, int]:
+        """(frames, bytes) counted so far, both directions together."""
+        frames = sum(self.sent.values()) + sum(self.received.values())
+        return frames, self.bytes_sent + self.bytes_received
+
 
 class Channel:
     """Ordered exactly-once message channel (one direction pair).

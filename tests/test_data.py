@@ -164,6 +164,17 @@ class TestLoadCsv:
         # labeled stats: mean 1, std 1 -> test value 4 standardizes to 3
         np.testing.assert_allclose(ds.test.a.num[0, 0], 3.0, rtol=1e-6)
 
+    def test_value_beyond_float32_range_becomes_zero(self, tmp_path):
+        # labeled spend 0 and 1e-30 standardize a test value of 1e10 to about
+        # 2e40, finite in float64 but not in float32
+        a = write(tmp_path / "a.csv", "game,spend,label\nx,0,1\ny,1e-30,0\n")
+        b = write(tmp_path / "b.csv", "channel\ns\ns\n")
+        ta = write(tmp_path / "ta.csv", "game,spend,label\nq,1e10,1\n")
+        tb = write(tmp_path / "tb.csv", "channel\ns\n")
+        ds = load_csv(a, b, SCHEMA_A, SCHEMA_B, "label", test=(ta, tb))
+        assert ds.test.a.num.tolist() == [[0.0]]
+        assert ds.labeled.a.num[:, 0].tolist() == [-1.0, 1.0]
+
 
 def reference_load_csv(path_a, path_b, schema_a, schema_b, label_column, *,
                        unlabeled=None, test=None):
@@ -188,9 +199,10 @@ def reference_load_csv(path_a, path_b, schema_a, schema_b, label_column, *,
                     raw[i, j] = float(cell)
         if stats is None:
             stats = _compute_stats(raw)
-        standardized = (raw - stats.mean) / stats.std
-        standardized = np.where(np.isfinite(standardized), standardized, 0.0)
-        return FeatureBlock(cat=cat, num=standardized.astype(np.float32)), raw
+        with np.errstate(over="ignore"):
+            standardized = ((raw - stats.mean) / stats.std).astype(np.float32)
+        standardized = np.where(np.isfinite(standardized), standardized, np.float32(0.0))
+        return FeatureBlock(cat=cat, num=standardized), raw
 
     cols_a, n = columns(path_a)
     cols_b, _ = columns(path_b)

@@ -1,11 +1,16 @@
 """Experiment configs, method pipelines, run reports, and the grid."""
 
 import json
+import socket
+import sys
+import threading
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import fedsplit.harness
 from fedsplit.data import SyntheticSpec
 from fedsplit.errors import ValidationError
 from fedsplit.harness import (
@@ -19,6 +24,7 @@ from fedsplit.harness import (
     load_dataset,
     run,
     run_matrix,
+    serve_party_b,
 )
 from fedsplit.splitnn import PassiveParty
 
@@ -66,6 +72,48 @@ class TestConfig:
 
     def test_hash_sees_hyperparameters(self):
         assert tiny_config(lr=1e-2).config_hash() != tiny_config(lr=5e-3).config_hash()
+
+    def test_unknown_key_is_rejected_by_name(self):
+        with pytest.raises(ValidationError, match="hyper.lrr"):
+            ExperimentConfig.from_flat({"hyper.lrr": "0.5"})
+
+    def test_synthetic_keys_are_accepted_under_either_data_kind(self):
+        config = ExperimentConfig.from_flat(
+            {"data.kind": "csv", "data.n_labeled": "7", "data.csv_labeled_a": "a.csv"}
+        )
+        assert config.csv_paths == {"labeled_a": "a.csv"}
+
+    @pytest.mark.parametrize("data_kind", ["synthetic", "csv"])
+    def test_every_field_survives_a_file_round_trip(self, tmp_path, data_kind):
+        base = ExperimentConfig()
+        changed = dict(
+            method="local-ssd", seed=5, data_kind=data_kind,
+            label_column="clicked", bottom_a=(9, 3), bottom_b=(7,), top=(5, 2),
+            lr=0.25, finetune_lr=0.125, alpha=0.75, l2=3e-6, k=3,
+            batch_pretrain=77, batch_train=33, eval_batch=99, epochs=4,
+            pretrain_epochs=6, patience=2, permute_party="B", transport="tcp",
+            tcp_host="10.0.0.2", tcp_port=4242, out_dir=str(tmp_path / "out"),
+            recv_timeout=2.5,
+        )
+        if data_kind == "synthetic":
+            changed["synth"] = SyntheticSpec(
+                n_labeled=11, n_unlabeled=12, n_test=13, d_a=3, d_b=4, rule="additive",
+                positive_rate=0.3, lift=0.8, leak=0.1, shared_dim=1, private_dim=3,
+                noise=0.2, buckets=5, embed_dim=2,
+            )
+        else:
+            changed["csv_paths"] = {"labeled_a": "la.csv", "labeled_b": "lb.csv"}
+        config = replace(base, **changed)
+        # everything but the data kind's own choice differs from the default
+        unchanged = {"data_kind", "csv_paths"} if data_kind == "synthetic" else {"synth"}
+        assert {f.name for f in fields(config)
+                if getattr(config, f.name) == getattr(base, f.name)} == unchanged
+        if data_kind == "synthetic":
+            assert all(getattr(config.synth, f.name) != getattr(base.synth, f.name)
+                       for f in fields(config.synth))
+        path = tmp_path / "run.cfg"
+        config.to_file(path)
+        assert ExperimentConfig.from_file(path) == config
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -161,6 +209,82 @@ class TestRun:
         assert set(out["bottom_b"]) == set(final)
         for name, value in final.items():
             assert out["bottom_b"][name].tobytes() == value.tobytes(), name
+
+    def test_in_process_sessions_reuse_one_passive_thread(self, monkeypatch):
+        # one thread per session would leave the process a new malloc arena
+        # whenever the last thread was still exiting
+        serve = PassiveParty.serve
+        threads = []
+
+        def recording_serve(party):
+            threads.append(threading.current_thread())
+            serve(party)
+
+        monkeypatch.setattr(PassiveParty, "serve", recording_serve)
+        config = tiny_config()
+        dataset = load_dataset(config)
+        for _ in range(3):
+            with FedSession(config, dataset):
+                pass
+        assert len(threads) == 3
+        assert all(thread is threads[0] for thread in threads)
+
+    def test_passive_workers_give_each_concurrent_job_a_thread(self):
+        # jobs that wait for each other deadlock if one queues behind a busy
+        # worker; once they are done, later jobs reuse the idle threads
+        workers = fedsplit.harness._PassiveWorkers()
+        ran_on = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                barrier = threading.Barrier(6, timeout=10)
+
+                def job():
+                    ran_on.append(threading.current_thread())
+                    barrier.wait()
+
+                events = [workers.submit(job) for _ in range(6)]
+                assert all(event.wait(timeout=10) for event in events)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ran_on) == 30
+        assert len(set(ran_on)) == 6
+
+    def test_a_busy_passive_worker_does_not_hold_up_a_new_session(self):
+        config = tiny_config(method="vfl-mpd", pretrain_epochs=1)
+        dataset = load_dataset(config)
+        with FedSession(config, dataset) as outer:
+            out = _stage_mpd_pretrain(config, dataset, RunContext(),
+                                      lambda: FedSession(config, dataset))
+            outer.reinit_passive([1, 2])
+        assert out["bottom_b"]
+
+    def test_tcp_run_takes_its_baseline_from_the_callers_context(self, monkeypatch):
+        config = tiny_config(method="baseline-local")
+        dataset = load_dataset(config)
+        ctx = RunContext()
+        baseline = run(config, context=ctx, dataset=dataset)
+        calls = []
+        local_train = fedsplit.harness.local_train
+
+        def counting_local_train(*args, **kwargs):
+            calls.append(args[3].stage)
+            return local_train(*args, **kwargs)
+
+        monkeypatch.setattr(fedsplit.harness, "local_train", counting_local_train)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        tcp = replace(config, method="vfl", transport="tcp", tcp_port=port, recv_timeout=60.0)
+        server = threading.Thread(target=serve_party_b, args=(tcp,), daemon=True)
+        server.start()
+        report = run(tcp, context=ctx, dataset=dataset)
+        server.join(timeout=60)
+        assert not server.is_alive()
+        assert report.failed_stage is None, report.error
+        assert calls == []
+        assert report.baseline_auc == baseline.test_auc
 
     def test_report_json_is_parseable(self):
         report = run(tiny_config(method="vfl"))

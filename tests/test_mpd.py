@@ -16,7 +16,6 @@ from fedsplit.mpd import (
     mpd_loss,
     pretrain,
     sample_derangement,
-    sample_weighted_derangement,
 )
 from fedsplit.numeric import sigmoid
 from fedsplit.splitnn import TrainSettings, rng_for
@@ -65,28 +64,6 @@ class TestSampleDerangement:
         perm = sample_derangement(n, np.random.default_rng(seed))
         assert np.all(perm != np.arange(n))
         np.testing.assert_array_equal(np.sort(perm), np.arange(n))
-
-
-class TestWeightedDerangement:
-    @given(st.integers(2, 24), st.integers(0, 2**31 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_always_a_derangement(self, n, seed):
-        rng = np.random.default_rng(seed)
-        weights = rng.integers(1, 5, size=n).astype(float)
-        perm = sample_weighted_derangement(weights, rng)
-        assert np.all(perm != np.arange(n))
-        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
-
-    def test_prefers_heavy_rows(self):
-        rng = np.random.default_rng(0)
-        weights = np.array([10.0, 1.0, 1.0, 1.0])
-        hits = 0
-        trials = 4000
-        for _ in range(trials):
-            perm = sample_weighted_derangement(weights, rng)
-            hits += np.sum(perm == 0)
-        # row 0 is drawn as a source far more often than 1/4 of slots
-        assert hits / trials > 0.55
 
 
 class TestBuildMpdBatch:

@@ -349,6 +349,36 @@ class TestTrainers:
             assert np.all(np.isfinite(value))
 
 
+    def test_local_divergence_skips_only_the_bad_batch_and_ends_the_run(self, monkeypatch):
+        import fedsplit.splitnn
+
+        dataset = self._dataset("a_only", seed=5, n=1000)
+        model = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(5, 55))
+        settings = TrainSettings(lr=1e-2, l2=0.0, batch_size=200, epochs=5,
+                                 patience=None, seed=5, stage="local")
+        per_epoch = 5  # 950 training rows after the 1/20 validation split
+        calls = []
+
+        def loss_fn(logits, rows):
+            calls.append(len(rows))
+            loss, grad = bce_loss(logits, dataset.labeled.y[rows])
+            # the third batch of epoch 2 has a non-finite loss
+            return (float("nan"), grad) if len(calls) == per_epoch + 3 else (loss, grad)
+
+        steps = []
+        adam = fedsplit.splitnn.adam_step
+        monkeypatch.setattr(fedsplit.splitnn, "adam_step",
+                            lambda *a, **k: steps.append(1) or adam(*a, **k))
+        history = local_train(model, dataset.labeled.a, dataset.labeled.y, settings,
+                              loss_fn=loss_fn)
+        assert len(calls) == 2 * per_epoch
+        assert len(steps) == 2 * per_epoch - 1
+        assert [r.epoch for r in history.records] == [1, 2]
+        assert history.records[0].extra == {}
+        assert history.records[1].extra == {"diverged": True}
+        assert history.records[1].val_auc is not None  # validation still ran
+
+
 class TestPassivePrivacy:
     def test_passive_runtime_holds_no_labels_or_top(self):
         import inspect
