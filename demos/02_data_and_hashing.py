@@ -10,7 +10,7 @@ from fedsplit.data import (
     FieldSpec,
     PartySchema,
     SyntheticSpec,
-    batches,
+    batch_indices,
     hash_feature,
     parse_schema,
     synth_categorical_pair,
@@ -50,8 +50,10 @@ truth = dataset.truth["labeled"]
 print("federated Bayes AUC:", auc(truth["posterior"], dataset.labeled.y).auc)
 print("party-A factor alone:", round(auc(truth["t_a"], dataset.labeled.y).auc, 3))
 
-# --- batches shuffle deterministically and preserve A/B row pairing
-for batch in batches(dataset.labeled, batch_size=2048, shuffle_seed=[7]):
+# --- both parties derive the same shuffled batch order from one seed key,
+#     and taking those rows from a segment keeps A/B rows paired
+for idx in batch_indices(dataset.labeled.n_rows, 2048, seed=[7]):
+    batch = dataset.labeled.take(idx)
     print("batch:", batch.n_rows, "rows; labels attached:", batch.y is not None)
 
 # --- the 1/20 validation split is deterministic and disjoint

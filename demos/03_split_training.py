@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from fedsplit.data import Batch, SyntheticSpec, synth_federated
+from fedsplit.data import SyntheticSpec, synth_federated
 from fedsplit.metrics import auc
 from fedsplit.numeric import bce_loss, sigmoid
 from fedsplit.splitnn import (
@@ -25,9 +25,7 @@ from fedsplit.splitnn import (
     TopModel,
     TrainSettings,
     copy_params,
-    federated_backward,
     federated_eval_probs,
-    federated_forward,
     local_train,
     rng_for,
     train_supervised,
@@ -59,21 +57,21 @@ monolith.bottom_a.set_params(copy_params(bottom_a.params()))
 monolith.bottom_b.set_params(copy_params(bottom_b.params()))
 monolith.top.set_params(copy_params(top.params()))
 
-batch = Batch(a=dataset.labeled.a.take(np.arange(64)),
-              b=dataset.labeled.b.take(np.arange(64)),
-              y=dataset.labeled.y[:64])
+batch = dataset.labeled.take(np.arange(64))
 settings = TrainSettings(lr=1e-2, l2=1e-4, batch_size=256, epochs=12,
                          patience=3, seed=seed, stage="fed")
 active.optimizer = settings.adam()
 passive.optimizer = settings.adam()
 
-logits = federated_forward(active, passive, batch)
+passive.send_activation(batch.b)  # B -> A: Activation
+logits = active.forward_step(batch.a)
 mono_logits = monolith.predict_logits(batch.a, batch.b)
 print("federated == monolith, bit for bit:",
       logits.tobytes() == mono_logits.tobytes())
 
 loss, grad = bce_loss(logits, batch.y)
-grads_a, grads_b = federated_backward(active, passive, grad)
+grads_a = active.backward_step(grad)  # A -> B: Gradient
+grads_b = passive.recv_gradient()
 active.apply_update(grads_a)
 passive.apply_update(grads_b)
 print("messages so far:", dict(passive.channel.counters.sent),

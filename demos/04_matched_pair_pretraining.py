@@ -9,20 +9,13 @@ and at convergence the top model's logit approaches PMI(a, b) - log k.
 Run with: python demos/04_matched_pair_pretraining.py
 """
 
-import itertools
 import math
 import threading
 
 import numpy as np
 
-from fedsplit.data import Batch, synth_categorical_pair
-from fedsplit.mpd import (
-    build_mpd_batch,
-    mpd_loss,
-    pmi_probe,
-    pretrain,
-    sample_derangement,
-)
+from fedsplit.data import synth_categorical_pair
+from fedsplit.mpd import mpd_loss, pmi_probe, pretrain, sample_derangement
 from fedsplit.splitnn import (
     ActiveParty,
     BottomModel,
@@ -38,20 +31,16 @@ rng = np.random.default_rng(0)
 
 # --- derangements: no row keeps its partner
 print("derangement of 6 rows:", sample_derangement(6, rng))
-counts = {}
-for _ in range(20_000):
-    counts[tuple(sample_derangement(4, rng))] = counts.get(tuple(sample_derangement(4, rng)), 0) + 1
-print("distinct derangements of 4 seen:", len(counts), "(there are exactly 9)")
+seen = {tuple(sample_derangement(4, rng)) for _ in range(20_000)}
+print("distinct derangements of 4 seen:", len(seen), "(there are exactly 9)")
 
-# --- a pair batch: positives are the aligned rows, negatives the permuted ones
-from fedsplit.data import FeatureBlock
-
-block = lambda arr: FeatureBlock(cat=np.zeros((len(arr), 0), np.int64),
-                                 num=np.asarray(arr, dtype=np.float32))
-batch = Batch(a=block([[1.0], [2.0], [3.0]]), b=block([[10.0], [20.0], [30.0]]))
-pair_batch = build_mpd_batch(batch, k=1, rng=rng)
-print("\npositive A column:", pair_batch.positive.a.num.ravel())
-print("negative A column:", pair_batch.negative.a.num.ravel(), "(same B rows)")
+# --- positives are the aligned rows; a negative pairs each B row with the A
+#     row a derangement moves there. Pretraining permutes the encoded A block
+#     the same way, since the bottom model acts row by row.
+a_rows, b_rows = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
+perm = sample_derangement(3, rng)
+print("\npositive pairs:", [(float(a), float(b)) for a, b in zip(a_rows, b_rows)])
+print("negative pairs:", [(float(a), float(b)) for a, b in zip(a_rows[perm], b_rows)])
 
 # --- the loss at indifferent logits is 2 ln 2
 loss, _, _ = mpd_loss(np.zeros(8), np.zeros(8))
@@ -70,7 +59,7 @@ active = ActiveParty(chan_a, bottom_a, top, probe_data)
 passive = PassiveParty(chan_b, bottom_b, {"unlabeled": probe_data.unlabeled.b})
 thread = threading.Thread(target=passive.serve, daemon=True)
 thread.start()
-result = pretrain(
+history = pretrain(
     active,
     TrainSettings(lr=1e-2, l2=0.0, batch_size=512, epochs=20,
                   patience=None, seed=seed, stage="mpd"),
@@ -78,9 +67,9 @@ result = pretrain(
 )
 active.channel.send_new(MsgType.BYE)
 thread.join()
-final = result.history.records[-1]
+final = history.records[-1]
 print(f"\npretraining: match accuracy {final.extra['match_accuracy']:.3f} "
-      f"after {len(result.history.records)} epochs")
+      f"after {len(history.records)} epochs")
 
 model = SplitModel(active.bottom, passive.bottom, active.top)
 report = pmi_probe(model, probe_data.unlabeled.a, probe_data.unlabeled.b,

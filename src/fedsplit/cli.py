@@ -2,8 +2,6 @@
 
     fedsplit synth     --out DIR [--set data.n_labeled=...]   write CSV + schema files
     fedsplit pretrain  [--config F] [--set k=v] --out DIR     matched-pair pretraining only
-    fedsplit train     --method vfl|baseline-local ...        one supervised run
-    fedsplit distill   --method local-sd|local-ssd ...        teacher -> student pipeline
     fedsplit eval      --checkpoint F ...                     score a checkpoint on test data
     fedsplit run       --method M ...                         full pipeline + report JSON
     fedsplit grid      --method M --grid lr=a,b --grid l2=... hyperparameter grid
@@ -34,8 +32,7 @@ from .harness import (
 )
 from .metrics import auc
 from .numeric import sigmoid
-from .splitnn import LocalModel, SplitModel, rng_for
-from .splitnn import STREAM_INIT_LOCAL_A
+from .splitnn import STREAM_INIT_LOCAL_A, LocalModel, SplitModel, rng_for
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,20 +144,6 @@ def _cmd_run(args) -> int:
     return 0 if report.failed_stage is None else 1
 
 
-def _cmd_train(args) -> int:
-    config = _config_from(args)
-    if config.method not in ("vfl", "baseline-local"):
-        raise SystemExit("train supports --method vfl or baseline-local; use run for pipelines")
-    return _cmd_run(args)
-
-
-def _cmd_distill(args) -> int:
-    config = _config_from(args)
-    if config.method not in ("local-sd", "local-ssd"):
-        raise SystemExit("distill supports --method local-sd or local-ssd")
-    return _cmd_run(args)
-
-
 def _cmd_eval(args) -> int:
     config = _config_from(args)
     dataset = load_dataset(config)
@@ -238,14 +221,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("pretrain", help="matched-pair pretraining, save bottoms")
     _add_common(p)
     p.set_defaults(fn=_cmd_pretrain)
-
-    p = sub.add_parser("train", help="supervised training (vfl or baseline-local)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_train)
-
-    p = sub.add_parser("distill", help="teacher -> student pipeline (local-sd/local-ssd)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_distill)
 
     p = sub.add_parser("eval", help="score a checkpoint on the test segment")
     _add_common(p)

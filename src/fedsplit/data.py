@@ -1,5 +1,5 @@
 """Vertically partitioned tabular data: schemas, hashed categorical encoding,
-aligned per-party batches, and synthetic dataset generators.
+aligned per-party segments, and synthetic dataset generators.
 
 Two parties hold different feature columns of the same samples, aligned by
 row index. Categorical values are hashed with FNV-1a-64 (salted by field
@@ -17,7 +17,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -178,20 +177,6 @@ class FeatureBlock:
     def take(self, idx) -> "FeatureBlock":
         return FeatureBlock(cat=self.cat[idx], num=self.num[idx])
 
-    @staticmethod
-    def concat(blocks: Sequence["FeatureBlock"]) -> "FeatureBlock":
-        return FeatureBlock(
-            cat=np.concatenate([b.cat for b in blocks], axis=0),
-            num=np.concatenate([b.num for b in blocks], axis=0),
-        )
-
-    @staticmethod
-    def empty(n_cat: int, n_num: int) -> "FeatureBlock":
-        return FeatureBlock(
-            cat=np.zeros((0, n_cat), dtype=np.int64),
-            num=np.zeros((0, n_num), dtype=F32),
-        )
-
 
 @dataclass
 class Segment:
@@ -240,19 +225,6 @@ class PartitionedDataset:
     truth: dict = field(default_factory=dict)  # synthetic-only diagnostics
 
 
-@dataclass
-class Batch:
-    """One aligned mini-batch."""
-
-    a: FeatureBlock
-    b: FeatureBlock
-    y: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.n_rows
-
-
 def batch_indices(
     n: int,
     batch_size: int,
@@ -279,18 +251,6 @@ def batch_indices(
     if drop_short and len(out) and len(out[-1]) < 2:
         out.pop()
     return out
-
-
-def batches(
-    segment: Segment, batch_size: int, shuffle_seed, *, drop_short: bool = False
-) -> Iterator[Batch]:
-    """Deterministically shuffled aligned batches of a segment."""
-    for idx in batch_indices(segment.n_rows, batch_size, shuffle_seed, drop_short=drop_short):
-        yield Batch(
-            a=segment.a.take(idx),
-            b=segment.b.take(idx),
-            y=None if segment.y is None else segment.y[idx],
-        )
 
 
 def validation_split(n: int, seed) -> tuple[np.ndarray, np.ndarray]:

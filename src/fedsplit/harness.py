@@ -515,7 +515,7 @@ def _pretrain_key(config):
 
 def _fed_key(config, stage_key, lr, parents):
     return ("fed-train", stage_key, config.data_key(), config.seed, lr, config.l2,
-            config.batch_train, config.epochs, config.patience,
+            config.batch_train, config.eval_batch, config.epochs, config.patience,
             config.bottom_a, config.bottom_b, config.top, parents)
 
 
@@ -578,7 +578,7 @@ def _pretrain_in(session, config) -> MetricHistory:
     settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
                          batch=config.batch_pretrain, stage="mpd", patience=None)
     return mpd_mod.pretrain(session.active, settings, k=config.k,
-                            permute_party=config.permute_party).history
+                            permute_party=config.permute_party)
 
 
 def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
@@ -983,19 +983,22 @@ def grid(config: ExperimentConfig, grid_spec: dict, seeds=(0, 1, 2)) -> GridResu
     """Cartesian hyperparameter grid x repeated seeds for one method.
 
     Selection uses the best validation AUC of the final stage, never the
-    test AUC; the winner's test AUC is what gets reported.
+    test AUC; the winner's test AUC is what gets reported. All cells share
+    one RunContext, so a stage that the gridded keys do not reach trains
+    once per seed.
     """
     names = sorted(grid_spec)
     combos = [{}]
     for name in names:
         combos = [{**c, name: v} for c in combos for v in grid_spec[name]]
+    ctx = RunContext()
     table = []
     best = None
     best_val = -np.inf
     for combo in combos:
         for seed in seeds:
             candidate = replace(config, seed=seed, **combo)
-            report = run(candidate)
+            report = run(candidate, context=ctx)
             final_stage = report.stages[-1] if report.stages else None
             history = report.histories.get(final_stage) if final_stage else None
             val_auc = history.best_val_auc if history is not None else None

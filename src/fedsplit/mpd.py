@@ -10,8 +10,9 @@ Because the permutation acts on rows and the bottom model is row-wise, the
 driver permutes the already-computed hidden block instead of re-encoding
 permuted raw rows: f(P X) = P f(X) exactly. The unpermuted party's hidden
 block is reused for the positive and every negative batch, so one batch
-still costs exactly one Activation and one Gradient message, and the
-permuting side needs no extra coordination.
+still costs exactly one Activation and one Gradient message, exchanged by
+the same `ActiveParty.recv_hidden` and `send_gradient` as a supervised
+step, and the permuting side needs no extra coordination.
 
 The objective per batch of m rows with k negatives per positive is
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Batch, FeatureBlock
-from .errors import ProtocolError, ValidationError
+from .data import FeatureBlock
+from .errors import ValidationError
 from .metrics import MetricHistory
 from .numeric import F32, log_sigmoid, sigmoid
 from .splitnn import (
@@ -43,7 +44,6 @@ from .splitnn import (
     _epoch_loop,
     _prefix,
 )
-from .transport import MsgType
 
 
 def sample_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,50 +60,6 @@ def sample_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
         perm = rng.permutation(n)
         if not np.any(perm == idx):
             return perm
-
-
-@dataclass
-class MpdBatch:
-    """One positive batch plus its k permuted negative batches."""
-
-    positive: Batch  # aligned pairs, target 1
-    negative: Batch  # k * m permuted pairs, target 0; reuses the B rows
-    perms: list[np.ndarray]
-    k: int
-    permuted_party: str
-
-
-def build_mpd_batch(
-    batch: Batch,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    permute_party: str = "A",
-) -> MpdBatch:
-    """Build the positive/negative pair batches for one unlabeled batch.
-
-    The permuted party's rows are shuffled by k independent derangements;
-    the other party's rows are reused untouched in every negative batch.
-    """
-    m = batch.n_rows
-    if m < 2:
-        raise ValidationError("matched-pair batches need at least 2 rows")
-    if k < 1:
-        raise ValidationError("need at least one negative batch")
-    if permute_party not in ("A", "B"):
-        raise ValidationError("permute_party must be 'A' or 'B'")
-    moving = batch.a if permute_party == "A" else batch.b
-    perms = [sample_derangement(m, rng) for _ in range(k)]
-    moved = FeatureBlock.concat([moving.take(p) for p in perms])
-    fixed = FeatureBlock.concat([batch.b if permute_party == "A" else batch.a] * k)
-    if permute_party == "A":
-        negative = Batch(a=moved, b=fixed, y=np.zeros(k * m, dtype=F32))
-    else:
-        negative = Batch(a=fixed, b=moved, y=np.zeros(k * m, dtype=F32))
-    positive = Batch(a=batch.a, b=batch.b, y=np.ones(m, dtype=F32))
-    return MpdBatch(
-        positive=positive, negative=negative, perms=perms, k=k, permuted_party=permute_party
-    )
 
 
 def mpd_loss(
@@ -125,25 +81,13 @@ def mpd_loss(
     return loss, grad_pos, grad_neg
 
 
-@dataclass
-class PretrainResult:
-    """What pretraining leaves behind besides the trained models.
-
-    Fine-tuning and distillation consume only the bottom encoders, reached
-    through the party objects; the match-task top stays on the active
-    party for diagnostics such as the PMI probe.
-    """
-
-    history: MetricHistory
-
-
 def pretrain(
     active: ActiveParty,
     settings: TrainSettings,
     *,
     k: int = 1,
     permute_party: str = "A",
-) -> PretrainResult:
+) -> MetricHistory:
     """Federated matched-pair pretraining over the unlabeled segment.
 
     Runs the full epoch budget through the shared epoch loop (no early
@@ -172,12 +116,11 @@ def pretrain(
         tally[:] = [0, 0]
         return {"match_accuracy": hits / max(total, 1)}
 
-    history = _epoch_loop(
+    return _epoch_loop(
         replace(settings, stage="mpd"), np.arange(seg.n_rows), step,
         channel=active.channel, segment="unlabeled", drop_short=True,
         end_epoch=end_epoch,
     )
-    return PretrainResult(history=history)
 
 
 def _mpd_protocol_step(
@@ -190,15 +133,8 @@ def _mpd_protocol_step(
 
     Returns (loss, correct_classifications, classified_rows).
     """
-    msg = active.channel.expect(MsgType.ACTIVATION)
-    h_b = msg.payload
+    h_a, h_b = active.recv_hidden(block_a)
     m = block_a.n_rows
-    if h_b.shape[0] != m:
-        raise ProtocolError(
-            f"activation carries {h_b.shape[0]} rows for a {m}-row batch"
-        )
-    h_a, cache_a = active.bottom.forward(block_a)
-
     fused_pos = np.hstack([h_a, h_b])
     logits_pos, cache_pos = active.top.forward(fused_pos)
     neg_caches = []
@@ -231,13 +167,7 @@ def _mpd_protocol_step(
             grad_h_a += grad_fused_neg[:, :d_a]
             np.add.at(grad_h_b, perm, grad_fused_neg[:, d_a:])
 
-    active.channel.send_new(
-        MsgType.GRADIENT, payload=np.ascontiguousarray(grad_h_b, dtype=F32)
-    )
-    grads_bottom = active.bottom.backward(cache_a, grad_h_a)
-    active._touched = {
-        f"bottom.{k}": v for k, v in active.bottom.touched_rows(cache_a).items()
-    }
+    grads_bottom = active.send_gradient(grad_h_a, grad_h_b)
     active.apply_update(
         {**_prefix(grads_top, "top"), **_prefix(grads_bottom, "bottom")}
     )

@@ -56,11 +56,6 @@ def as_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def ensure_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in '{name}'")
-
-
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function."""
     arr = np.asarray(x)

@@ -56,7 +56,6 @@ STREAM_INIT_BOTTOM_A = 21
 STREAM_INIT_BOTTOM_B = 22
 STREAM_INIT_TOP = 23
 STREAM_INIT_LOCAL_A = 24
-STREAM_INIT_LOCAL_B = 25
 STREAM_INIT_MPD_TOP = 26
 STREAM_SHUFFLE = 31
 STREAM_SPLIT = 32
@@ -389,11 +388,14 @@ class ActiveParty:
         self.dataset = dataset
         self.optimizer: AdamState | None = None
         self._ctx = None
+        self._cache_a = None
         self._touched: dict[str, np.ndarray] = {}
 
     # -- single-step protocol operations ------------------------------------
-    def forward_step(self, block_a: FeatureBlock) -> np.ndarray:
-        """Consume one Activation and produce the fused logits."""
+    def recv_hidden(self, block_a: FeatureBlock) -> tuple[np.ndarray, np.ndarray]:
+        """Consume one Activation and encode this party's rows: (h_A, h_B).
+
+        The bottom cache is kept for the `send_gradient` that follows."""
         msg = self.channel.expect(MsgType.ACTIVATION)
         h_b = msg.payload
         if h_b.shape[0] != block_a.n_rows:
@@ -406,24 +408,38 @@ class ActiveParty:
                 f"width mismatch: top expects {self.top.n_in}, "
                 f"got {h_a.shape[1]}+{h_b.shape[1]}"
             )
-        fused = np.hstack([h_a, h_b])
-        logits, cache_t = self.top.forward(fused)
-        self._ctx = (cache_a, cache_t, h_a.shape[1])
+        self._cache_a = cache_a
+        return h_a, h_b
+
+    def send_gradient(self, grad_h_a: np.ndarray, grad_h_b: np.ndarray) -> dict[str, np.ndarray]:
+        """Send the h_B gradient and return the bottom's parameter gradients."""
+        if self._cache_a is None:
+            raise StateError("send_gradient without a received activation")
+        self.channel.send_new(
+            MsgType.GRADIENT, payload=np.ascontiguousarray(grad_h_b, dtype=F32)
+        )
+        grads = self.bottom.backward(self._cache_a, grad_h_a)
+        self._touched = {
+            f"bottom.{k}": v for k, v in self.bottom.touched_rows(self._cache_a).items()
+        }
+        self._cache_a = None
+        return grads
+
+    def forward_step(self, block_a: FeatureBlock) -> np.ndarray:
+        """Consume one Activation and produce the fused logits."""
+        h_a, h_b = self.recv_hidden(block_a)
+        logits, cache_t = self.top.forward(np.hstack([h_a, h_b]))
+        self._ctx = (cache_t, h_a.shape[1])
         return logits
 
     def backward_step(self, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Send the h_B gradient, return this party's parameter gradients."""
         if self._ctx is None:
             raise StateError("backward_step without a completed forward_step")
-        cache_a, cache_t, d_a = self._ctx
-        grad_fused, grads_top = self.top.backward(cache_t, grad_logits)
-        grad_h_b = np.ascontiguousarray(grad_fused[:, d_a:], dtype=F32)
-        self.channel.send_new(MsgType.GRADIENT, payload=grad_h_b)
-        grads_bottom = self.bottom.backward(cache_a, grad_fused[:, :d_a])
-        self._touched = {
-            f"bottom.{k}": v for k, v in self.bottom.touched_rows(cache_a).items()
-        }
+        cache_t, d_a = self._ctx
         self._ctx = None
+        grad_fused, grads_top = self.top.backward(cache_t, grad_logits)
+        grads_bottom = self.send_gradient(grad_fused[:, :d_a], grad_fused[:, d_a:])
         return {**_prefix(grads_top, "top"), **_prefix(grads_bottom, "bottom")}
 
     def eval_step(self, block_a: FeatureBlock) -> np.ndarray:
@@ -610,30 +626,6 @@ class PassiveParty:
                     )
             else:
                 raise ProtocolError(f"unknown control command '{cmd}'")
-
-
-# ---------------------------------------------------------------------------
-# Single-step module-level operations (in-process party pairs)
-# ---------------------------------------------------------------------------
-
-
-def federated_forward(active: ActiveParty, passive: PassiveParty, batch) -> np.ndarray:
-    """One protocol forward pass: exactly one Activation B -> A."""
-    passive.send_activation(batch.b)
-    return active.forward_step(batch.a)
-
-
-def federated_backward(
-    active: ActiveParty, passive: PassiveParty, grad_logits: np.ndarray
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """One protocol backward pass: exactly one Gradient A -> B.
-
-    Returns (active grads, passive grads); updates are applied separately
-    with apply_update so a transport failure leaves both models untouched.
-    """
-    grads_a = active.backward_step(grad_logits)
-    grads_b = passive.recv_gradient()
-    return grads_a, grads_b
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 from fedsplit.data import (
-    Batch,
     FeatureBlock,
     FieldSpec,
     PartySchema,
+    Segment,
     SyntheticSpec,
     synth_categorical_pair,
     synth_federated,
@@ -38,7 +38,6 @@ from fedsplit.numeric import (
     AdamState,
     DenseLayer,
     Mlp,
-    adam_step,
     bce_loss,
     bernoulli_kl,
     grad_check,
@@ -53,8 +52,6 @@ from fedsplit.splitnn import (
     TopModel,
     TrainSettings,
     copy_params,
-    federated_backward,
-    federated_forward,
     local_train,
     rng_for,
     train_supervised,
@@ -62,7 +59,15 @@ from fedsplit.splitnn import (
 from fedsplit.transport import MsgType, inproc_pair
 
 from test_metrics import auc_pair_counting
-from test_splitnn import build_session, monolith_clone, num_block, random_party_models, serve_in_thread
+from test_splitnn import (
+    assert_params_match,
+    build_session,
+    monolith_clone,
+    monolith_update,
+    num_block,
+    random_party_models,
+    serve_in_thread,
+)
 
 F32 = np.float32
 
@@ -113,9 +118,10 @@ class TestCriterion01SplitMonolithEquivalence:
             split = monolith_clone(schema_a, schema_b, active, passive,
                                    widths, top_widths, trial)
             m = int(rng.integers(1, 16))
-            batch = Batch(a=num_block(rng.normal(size=(m, 5))),
-                          b=num_block(rng.normal(size=(m, 4))))
-            fed = federated_forward(active, passive, batch)
+            batch = Segment(a=num_block(rng.normal(size=(m, 5))),
+                            b=num_block(rng.normal(size=(m, 4))))
+            passive.send_activation(batch.b)
+            fed = active.forward_step(batch.a)
             mono = split.predict_logits(batch.a, batch.b)
             assert fed.tobytes() == mono.tobytes(), f"forward differs at trial {trial}"
 
@@ -125,7 +131,8 @@ class TestCriterion01SplitMonolithEquivalence:
                 passive.optimizer = settings.adam()
                 y = (rng.random(m) > 0.5).astype(F32)
                 _, grad = bce_loss(fed, y)
-                grads_a, grads_b = federated_backward(active, passive, grad)
+                grads_a = active.backward_step(grad)
+                grads_b = passive.recv_gradient()
                 active.apply_update(grads_a)
                 passive.apply_update(grads_b)
 
@@ -136,26 +143,8 @@ class TestCriterion01SplitMonolithEquivalence:
                 grad_fused, g_top = split.top.backward(ct, mono_grad)
                 g_ba = split.bottom_a.backward(ca, grad_fused[:, : h_a.shape[1]])
                 g_bb = split.bottom_b.backward(cb, grad_fused[:, h_a.shape[1]:])
-                opt_a, opt_b = settings.adam(), settings.adam()
-                params_a = {**{f"top.{k}": v for k, v in split.top.params().items()},
-                            **{f"bottom.{k}": v for k, v in split.bottom_a.params().items()}}
-                grads_mono = {**{f"top.{k}": v for k, v in g_top.items()},
-                              **{f"bottom.{k}": v for k, v in g_ba.items()}}
-                decay = {f"top.{k}" for k in split.top.decay_full()} | {
-                    f"bottom.{k}" for k in split.bottom_a.decay_full()}
-                adam_step(opt_a, params_a, grads_mono, decay_full=decay)
-                adam_step(opt_b, split.bottom_b.params(), g_bb,
-                          decay_full=split.bottom_b.decay_full())
-
-                for name, value in active.bottom.params().items():
-                    np.testing.assert_allclose(
-                        value, split.bottom_a.params()[name], atol=1e-6)
-                for name, value in active.top.params().items():
-                    np.testing.assert_allclose(
-                        value, split.top.params()[name], atol=1e-6)
-                for name, value in passive.bottom.params().items():
-                    np.testing.assert_allclose(
-                        value, split.bottom_b.params()[name], atol=1e-6)
+                monolith_update(split, settings, g_top, g_ba, g_bb)
+                assert_params_match(active, passive, split)
         elapsed = time.time() - t0
         assert elapsed < 60, f"criterion budget exceeded: {elapsed:.0f}s"
         announce("criterion 01", f"split/monolith equivalence ({elapsed:.0f}s, "

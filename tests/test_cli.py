@@ -80,10 +80,6 @@ class TestRunCommand:
         assert report["stages"] == ["fed-train"]
         assert report["messages_sent"]["GRADIENT"] > 0
 
-    def test_train_rejects_pipeline_methods(self):
-        proc = cli("train", "--method", "local-ssd", *BASE_SETS)
-        assert proc.returncode != 0
-
     def test_grid_over_an_integer_hyperparameter(self):
         proc = cli("grid", "--method", "vfl", "--grid", "epochs=1,2", "--seeds", "0",
                    *BASE_SETS)

@@ -16,7 +16,6 @@ from fedsplit.data import (
     Segment,
     SyntheticSpec,
     batch_indices,
-    batches,
     fnv1a64,
     hash_feature,
     load_csv,
@@ -406,7 +405,8 @@ class TestBatches:
             a=FeatureBlock(cat=np.zeros((n, 0), np.int64), num=ids),
             b=FeatureBlock(cat=np.zeros((n, 0), np.int64), num=ids.copy()),
         )
-        for batch in batches(seg, 8, shuffle_seed=[3]):
+        for idx in batch_indices(n, 8, seed=[3]):
+            batch = seg.take(idx)
             np.testing.assert_array_equal(batch.a.num, batch.b.num)
 
 

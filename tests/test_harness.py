@@ -358,3 +358,35 @@ class TestGrid:
         assert len(result.table) == 4
         combos = {(e["combo"]["lr"], e["combo"]["l2"]) for e in result.table}
         assert len(combos) == 4
+
+    def _count_stage_calls(self, monkeypatch):
+        calls = {"train_supervised": 0, "local_train": 0}
+        for name in calls:
+            original = getattr(fedsplit.harness, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fedsplit.harness, name, counting)
+        return calls
+
+    def test_cells_share_the_stages_the_gridded_key_does_not_reach(self, monkeypatch):
+        config = tiny_config(method="local-sd")
+        calls = self._count_stage_calls(monkeypatch)
+        result = grid(config, {"alpha": [0.25, 0.75]}, seeds=(0,))
+        # one teacher and one baseline serve both cells
+        assert calls == {"train_supervised": 1, "local_train": 1}
+        separate = []
+        for alpha in (0.25, 0.75):
+            report = run(replace(config, alpha=alpha))
+            separate.append({"combo": {"alpha": alpha}, "seed": 0,
+                             "val_auc": report.histories["distill"].best_val_auc,
+                             "test_auc": report.test_auc})
+        assert result.table == separate
+
+    def test_cells_differing_in_eval_batch_train_their_own_stage(self, monkeypatch):
+        config = tiny_config(method="vfl", epochs=1)
+        calls = self._count_stage_calls(monkeypatch)
+        grid(config, {"eval_batch": [256, 1024]}, seeds=(0,))
+        assert calls["train_supervised"] == 2

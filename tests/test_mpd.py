@@ -1,27 +1,33 @@
-"""Derangements, pair-batch construction, the match loss, and pretraining."""
+"""Derangements, the oracle's pair batches, the match loss, one pretraining
+step against a monolith, and pretraining."""
 
 import itertools
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsplit.data import Batch, FeatureBlock, SyntheticSpec, synth_federated
-from fedsplit.errors import ValidationError
+from fedsplit.data import FeatureBlock, Segment, SyntheticSpec, synth_federated
+from fedsplit.errors import ProtocolError, ValidationError
 from fedsplit.metrics import auc
-from fedsplit.mpd import (
-    build_mpd_batch,
-    mpd_loss,
-    pretrain,
-    sample_derangement,
-)
+from fedsplit.mpd import _mpd_protocol_step, mpd_loss, pretrain, sample_derangement
 from fedsplit.numeric import sigmoid
-from fedsplit.splitnn import TrainSettings, rng_for
+from fedsplit.splitnn import BottomModel, TrainSettings, rng_for
 from fedsplit.transport import MsgType
 
-from test_splitnn import build_session, num_block, serve_in_thread
+from test_splitnn import (
+    assert_params_match,
+    build_session,
+    make_pair,
+    monolith_clone,
+    monolith_update,
+    num_block,
+    random_party_models,
+    serve_in_thread,
+)
 
 F32 = np.float32
 
@@ -66,11 +72,47 @@ class TestSampleDerangement:
         np.testing.assert_array_equal(np.sort(perm), np.arange(n))
 
 
+def _stack(blocks):
+    return FeatureBlock(cat=np.concatenate([b.cat for b in blocks]),
+                        num=np.concatenate([b.num for b in blocks]))
+
+
+class PairBatch(NamedTuple):
+    positive: Segment  # the aligned pairs, target 1
+    negative: Segment  # k * m deranged pairs, target 0
+    perms: list
+
+
+def build_mpd_batch(batch, k, rng, *, permute_party="A"):
+    """The oracle's raw rows for one pretraining batch: the permuted party's
+    rows go through k derangements, the other party's rows repeat as they
+    are. Pretraining itself permutes hidden blocks instead."""
+    m = batch.n_rows
+    perms = [sample_derangement(m, rng) for _ in range(k)]
+    moved = _stack([(batch.a if permute_party == "A" else batch.b).take(p) for p in perms])
+    fixed = _stack([batch.b if permute_party == "A" else batch.a] * k)
+    a, b = (moved, fixed) if permute_party == "A" else (fixed, moved)
+    return PairBatch(
+        positive=Segment(a=batch.a, b=batch.b, y=np.ones(m, dtype=F32)),
+        negative=Segment(a=a, b=b, y=np.zeros(k * m, dtype=F32)),
+        perms=perms,
+    )
+
+
+def _one_hot(perm):
+    # row r of the permuted block is source row perm[r]
+    out = np.zeros((len(perm), len(perm)))
+    out[np.arange(len(perm)), perm] = 1.0
+    return out
+
+
 class TestBuildMpdBatch:
+    """The oracle's own pair rows."""
+
     def _batch(self, m, d=3, seed=0):
         rng = np.random.default_rng(seed)
-        return Batch(a=num_block(rng.normal(size=(m, d))),
-                     b=num_block(rng.normal(size=(m, d))))
+        return Segment(a=num_block(rng.normal(size=(m, d))),
+                       b=num_block(rng.normal(size=(m, d))))
 
     def test_k1_m2_gives_the_two_cross_pairs(self):
         batch = self._batch(2)
@@ -104,7 +146,7 @@ class TestBuildMpdBatch:
         # counting oracle: with every row identical, all "negatives" coincide
         # with true pairs; with unique rows, none do
         m = 32
-        same = Batch(a=num_block(np.ones((m, 2))), b=num_block(np.ones((m, 2))))
+        same = Segment(a=num_block(np.ones((m, 2))), b=num_block(np.ones((m, 2))))
         out = build_mpd_batch(same, k=1, rng=np.random.default_rng(4))
         collisions = sum(
             np.array_equal(out.negative.a.num[i], same.a.num[i]) for i in range(m)
@@ -116,6 +158,70 @@ class TestBuildMpdBatch:
         out = build_mpd_batch(batch, k=1, rng=np.random.default_rng(5), permute_party="B")
         np.testing.assert_array_equal(out.negative.a.num, batch.a.num)
         assert not np.array_equal(out.negative.b.num, batch.b.num)
+
+
+class TestMpdStepOracle:
+    """One pretraining batch over the wire against a monolithic evaluation
+    of the same triple on explicitly deranged raw rows."""
+
+    @pytest.mark.parametrize("permute_party", ["A", "B"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_loss_gradient_frame_and_update_match_monolith(self, permute_party, k,
+                                                           monkeypatch):
+        widths, top_widths = (8, 6), (7,)
+        for trial in range(5):
+            seed = 100 * k + 10 * (permute_party == "B") + trial
+            rng = np.random.default_rng(seed)
+            schema_a, schema_b, bottom_a, bottom_b, top = random_party_models(
+                seed, widths=widths, top_widths=top_widths)
+            settings = TrainSettings(lr=1e-2, l2=1e-4)
+            active, passive = make_pair(bottom_a, bottom_b, top, settings=settings)
+            split = monolith_clone(schema_a, schema_b, active, passive,
+                                   widths, top_widths, seed)
+            m = int(rng.integers(2, 12))
+            batch = Segment(a=num_block(rng.normal(size=(m, 5))),
+                            b=num_block(rng.normal(size=(m, 4))))
+            pairs = build_mpd_batch(batch, k, rng, permute_party=permute_party)
+
+            frames = []
+            expect = passive.channel.expect
+
+            def recording_expect(msg_type, timeout=None):
+                frames.append(expect(msg_type, timeout))
+                return frames[-1]
+
+            monkeypatch.setattr(passive.channel, "expect", recording_expect)
+            passive.send_activation(batch.b)
+            loss, _, _ = _mpd_protocol_step(active, batch.a, pairs.perms, permute_party)
+            passive.apply_update(passive.recv_gradient())
+            (frame,) = frames
+
+            # monolith: binary cross-entropy summed over the positive and
+            # negative raw rows, divided by the batch size m
+            h_a, ca = split.bottom_a.forward(_stack([pairs.positive.a, pairs.negative.a]))
+            h_b, cb = split.bottom_b.forward(_stack([pairs.positive.b, pairs.negative.b]))
+            logits, ct = split.top.forward(np.hstack([h_a, h_b]))
+            z = logits.astype(np.float64)
+            y = np.concatenate([pairs.positive.y, pairs.negative.y])
+            mono_loss = float(np.sum(y * np.logaddexp(0, -z) + (1 - y) * np.logaddexp(0, z)) / m)
+            grad_fused, g_top = split.top.backward(ct, ((sigmoid(z) - y) / m).astype(F32))
+            d_a = h_a.shape[1]
+            g_ba = split.bottom_a.backward(ca, grad_fused[:, :d_a])
+            g_bb = split.bottom_b.backward(cb, grad_fused[:, d_a:])
+
+            np.testing.assert_allclose(loss, mono_loss, atol=1e-6)
+            # dLoss/dh_B per original row: the positive block plus each
+            # negative block carried back through its derangement
+            grad_b = grad_fused[:, d_a:].astype(np.float64)
+            expected = grad_b[:m].copy()
+            for j, perm in enumerate(pairs.perms):
+                block = grad_b[(j + 1) * m:(j + 2) * m]
+                expected += _one_hot(perm).T @ block if permute_party == "B" else block
+            assert frame.msg_type == MsgType.GRADIENT
+            np.testing.assert_allclose(frame.payload, expected, atol=1e-6)
+
+            monolith_update(split, settings, g_top, g_ba, g_bb)
+            assert_params_match(active, passive, split)
 
 
 class TestMpdLoss:
@@ -170,29 +276,29 @@ def _run_pretrain(dataset, seed, epochs=6, k=1):
     thread = serve_in_thread(passive)
     settings = TrainSettings(lr=1e-2, l2=0.0, batch_size=512, epochs=epochs,
                              patience=None, seed=seed, stage="mpd")
-    result = pretrain(active, settings, k=k)
+    history = pretrain(active, settings, k=k)
     active.channel.send_new(MsgType.BYE)
     thread.join()
-    return result
+    return history
 
 
 class TestPretrain:
     def test_loss_at_initialization_is_near_two_log_two(self):
         dataset = _pretrain_dataset(coupled=True, seed=0, n=4000)
-        result = _run_pretrain(dataset, seed=0, epochs=1)
-        first = result.history.records[0]
+        history = _run_pretrain(dataset, seed=0, epochs=1)
+        first = history.records[0]
         assert 1.2 <= first.train_loss <= 1.5, first.train_loss
 
     def test_independent_views_stay_near_chance(self):
         dataset = _pretrain_dataset(coupled=False, seed=1, n=8000)
-        result = _run_pretrain(dataset, seed=1, epochs=5)
-        acc = result.history.records[-1].extra["match_accuracy"]
+        history = _run_pretrain(dataset, seed=1, epochs=5)
+        acc = history.records[-1].extra["match_accuracy"]
         assert abs(acc - 0.5) < 0.06, acc
 
     def test_shared_latents_are_detected(self):
         dataset = _pretrain_dataset(coupled=True, seed=2, n=12_000)
-        result = _run_pretrain(dataset, seed=2, epochs=8)
-        acc = result.history.records[-1].extra["match_accuracy"]
+        history = _run_pretrain(dataset, seed=2, epochs=8)
+        acc = history.records[-1].extra["match_accuracy"]
         assert acc > 0.9, acc
 
     def test_pretrain_never_touches_labels(self):
@@ -203,8 +309,8 @@ class TestPretrain:
         # the unlabeled segment carries no label array at all
         dataset = _pretrain_dataset(coupled=True, seed=3, n=3000)
         assert dataset.unlabeled.y is None
-        result = _run_pretrain(dataset, seed=3, epochs=1)
-        assert result.history.records
+        history = _run_pretrain(dataset, seed=3, epochs=1)
+        assert history.records
 
     def test_two_messages_per_batch(self):
         dataset = _pretrain_dataset(coupled=True, seed=4, n=2048)
@@ -218,3 +324,26 @@ class TestPretrain:
         n_batches = 2 * (2048 // 512)
         assert passive.channel.counters.sent == {"ACTIVATION": n_batches}
         assert active.channel.counters.sent.get("GRADIENT", 0) == n_batches
+
+    def test_passive_bottom_of_the_wrong_width_is_a_protocol_error(self):
+        dataset = _pretrain_dataset(coupled=True, seed=5, n=1024)
+        active, passive = build_session(dataset, seed=5, widths=(8,), top_widths=(4,))
+        passive.bottom = BottomModel.create(dataset.schema_b, (5,), rng_for(5, 22))
+        errors = []
+
+        def serve():
+            try:
+                passive.serve()
+            except ProtocolError as exc:  # the BYE below ends its wait for a gradient
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        settings = TrainSettings(lr=1e-2, batch_size=512, epochs=1, patience=None,
+                                 seed=5, stage="mpd")
+        with pytest.raises(ProtocolError, match="width"):
+            pretrain(active, settings)
+        active.channel.send_new(MsgType.BYE)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert passive.channel.counters.sent == {"ACTIVATION": 1}

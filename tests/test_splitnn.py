@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsplit.data import (
-    Batch,
     FeatureBlock,
     FieldSpec,
     PartySchema,
@@ -26,9 +25,7 @@ from fedsplit.splitnn import (
     TopModel,
     TrainSettings,
     copy_params,
-    federated_backward,
     federated_eval_probs,
-    federated_forward,
     local_train,
     rng_for,
     train_supervised,
@@ -89,6 +86,31 @@ def monolith_clone(schema_a, schema_b, active, passive, widths, top_widths, seed
     return split
 
 
+def monolith_update(split, settings, g_top, g_ba, g_bb):
+    """One Adam step on the monolith, one optimizer per party as in the split."""
+    params_a = {**{f"top.{k}": v for k, v in split.top.params().items()},
+                **{f"bottom.{k}": v for k, v in split.bottom_a.params().items()}}
+    grads_a = {**{f"top.{k}": v for k, v in g_top.items()},
+               **{f"bottom.{k}": v for k, v in g_ba.items()}}
+    decay_a = {f"top.{k}" for k in split.top.decay_full()} | {
+        f"bottom.{k}" for k in split.bottom_a.decay_full()}
+    adam_step(settings.adam(), params_a, grads_a, decay_full=decay_a)
+    adam_step(settings.adam(), split.bottom_b.params(), g_bb,
+              decay_full=split.bottom_b.decay_full())
+
+
+def assert_params_match(active, passive, split, atol=1e-6):
+    for name, value in active.bottom.params().items():
+        np.testing.assert_allclose(value, split.bottom_a.params()[name],
+                                   atol=atol, err_msg=f"a.{name}")
+    for name, value in active.top.params().items():
+        np.testing.assert_allclose(value, split.top.params()[name],
+                                   atol=atol, err_msg=f"top.{name}")
+    for name, value in passive.bottom.params().items():
+        np.testing.assert_allclose(value, split.bottom_b.params()[name],
+                                   atol=atol, err_msg=f"b.{name}")
+
+
 class TestSingleStep:
     def test_identity_bottoms_sum_top_composes(self):
         schema_a = numeric_schema("A", 1)
@@ -96,16 +118,18 @@ class TestSingleStep:
         top = TopModel(Mlp([DenseLayer(weight=np.ones((2, 1), dtype=F32),
                                        bias=np.zeros(1, F32), activation="identity")]))
         active, passive = make_pair(identity_bottom(schema_a), identity_bottom(schema_b), top)
-        batch = Batch(a=num_block([[1.0]]), b=num_block([[2.0]]))
-        logits = federated_forward(active, passive, batch)
+        batch = Segment(a=num_block([[1.0]]), b=num_block([[2.0]]))
+        passive.send_activation(batch.b)
+        logits = active.forward_step(batch.a)
         np.testing.assert_allclose(logits, [3.0])
 
     def test_activation_message_carries_m_by_db_matrix(self):
         _, _, bottom_a, bottom_b, top = random_party_models(0)
         active, passive = make_pair(bottom_a, bottom_b, top)
         rng = np.random.default_rng(0)
-        batch = Batch(a=num_block(rng.normal(size=(7, 5))), b=num_block(rng.normal(size=(7, 4))))
-        federated_forward(active, passive, batch)
+        batch = Segment(a=num_block(rng.normal(size=(7, 5))), b=num_block(rng.normal(size=(7, 4))))
+        passive.send_activation(batch.b)
+        active.forward_step(batch.a)
         entry = passive.channel.transcript[-1]
         assert entry.msg_type == int(MsgType.ACTIVATION)
         assert (entry.rows, entry.cols) == (7, bottom_b.out_dim)
@@ -115,9 +139,10 @@ class TestSingleStep:
         bad_top = TopModel.create(bottom_a.out_dim + bottom_b.out_dim + 3, (4,), rng_for(1, 9))
         active, passive = make_pair(bottom_a, bottom_b, bad_top)
         rng = np.random.default_rng(0)
-        batch = Batch(a=num_block(rng.normal(size=(3, 5))), b=num_block(rng.normal(size=(3, 4))))
+        batch = Segment(a=num_block(rng.normal(size=(3, 5))), b=num_block(rng.normal(size=(3, 4))))
+        passive.send_activation(batch.b)
         with pytest.raises(ProtocolError, match="width"):
-            federated_forward(active, passive, batch)
+            active.forward_step(batch.a)
 
     def test_backward_without_forward_is_state_error(self):
         _, _, bottom_a, bottom_b, top = random_party_models(2)
@@ -129,9 +154,11 @@ class TestSingleStep:
         _, _, bottom_a, bottom_b, top = random_party_models(3)
         active, passive = make_pair(bottom_a, bottom_b, top)
         rng = np.random.default_rng(0)
-        batch = Batch(a=num_block(rng.normal(size=(4, 5))), b=num_block(rng.normal(size=(4, 4))))
-        logits = federated_forward(active, passive, batch)
-        grads_a, grads_b = federated_backward(active, passive, np.zeros_like(logits))
+        batch = Segment(a=num_block(rng.normal(size=(4, 5))), b=num_block(rng.normal(size=(4, 4))))
+        passive.send_activation(batch.b)
+        logits = active.forward_step(batch.a)
+        grads_a = active.backward_step(np.zeros_like(logits))
+        grads_b = passive.recv_gradient()
         for grads in (grads_a, grads_b):
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -142,9 +169,11 @@ class TestSingleStep:
         _, _, bottom_a, bottom_b, top = random_party_models(4)
         active, passive = make_pair(bottom_a, bottom_b, top)
         rng = np.random.default_rng(0)
-        batch = Batch(a=num_block(rng.normal(size=(6, 5))), b=num_block(rng.normal(size=(6, 4))))
-        logits = federated_forward(active, passive, batch)
-        federated_backward(active, passive, np.ones_like(logits))
+        batch = Segment(a=num_block(rng.normal(size=(6, 5))), b=num_block(rng.normal(size=(6, 4))))
+        passive.send_activation(batch.b)
+        logits = active.forward_step(batch.a)
+        active.backward_step(np.ones_like(logits))
+        passive.recv_gradient()
         sent = passive.channel.transcript[0]
         got = [e for e in active.channel.transcript if e.direction == "send"][0]
         assert (sent.rows, sent.cols) == (got.rows, got.cols)
@@ -154,11 +183,13 @@ class TestSingleStep:
         active, passive = make_pair(bottom_a, bottom_b, top)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            batch = Batch(a=num_block(rng.normal(size=(4, 5))),
-                          b=num_block(rng.normal(size=(4, 4))))
-            logits = federated_forward(active, passive, batch)
+            batch = Segment(a=num_block(rng.normal(size=(4, 5))),
+                            b=num_block(rng.normal(size=(4, 4))))
+            passive.send_activation(batch.b)
+            logits = active.forward_step(batch.a)
             _, grad = bce_loss(logits, (rng.random(4) > 0.5).astype(F32))
-            federated_backward(active, passive, grad)
+            active.backward_step(grad)
+            passive.recv_gradient()
         assert passive.channel.counters.sent == {"ACTIVATION": 3}
         assert active.channel.counters.sent == {"GRADIENT": 3}
 
@@ -175,9 +206,10 @@ class TestMonolithEquivalence:
             split = monolith_clone(schema_a, schema_b, active, passive,
                                    widths, top_widths, trial)
             m = int(rng.integers(1, 12))
-            batch = Batch(a=num_block(rng.normal(size=(m, 5))),
-                          b=num_block(rng.normal(size=(m, 4))))
-            fed_logits = federated_forward(active, passive, batch)
+            batch = Segment(a=num_block(rng.normal(size=(m, 5))),
+                            b=num_block(rng.normal(size=(m, 4))))
+            passive.send_activation(batch.b)
+            fed_logits = active.forward_step(batch.a)
             mono_logits = split.predict_logits(batch.a, batch.b)
             assert fed_logits.tobytes() == mono_logits.tobytes()
 
@@ -193,13 +225,16 @@ class TestMonolithEquivalence:
             split = monolith_clone(schema_a, schema_b, active, passive,
                                    widths, top_widths, trial)
 
-            batch = Batch(a=num_block(rng.normal(size=(9, 5))),
-                          b=num_block(rng.normal(size=(9, 4))))
+            batch = Segment(a=num_block(rng.normal(size=(9, 5))),
+                            b=num_block(rng.normal(size=(9, 4))))
             y = (rng.random(9) > 0.5).astype(F32)
 
-            logits = federated_forward(active, passive, batch)
+            passive.send_activation(batch.b)
+
+            logits = active.forward_step(batch.a)
             _, grad = bce_loss(logits, y)
-            grads_a, grads_b = federated_backward(active, passive, grad)
+            grads_a = active.backward_step(grad)
+            grads_b = passive.recv_gradient()
             active.apply_update(grads_a)
             passive.apply_update(grads_b)
 
@@ -212,27 +247,8 @@ class TestMonolithEquivalence:
             grad_fused, g_top = split.top.backward(ct, mono_grad)
             g_ba = split.bottom_a.backward(ca, grad_fused[:, : h_a.shape[1]])
             g_bb = split.bottom_b.backward(cb, grad_fused[:, h_a.shape[1]:])
-            opt_a = settings.adam()
-            params_a = {**{f"top.{k}": v for k, v in split.top.params().items()},
-                        **{f"bottom.{k}": v for k, v in split.bottom_a.params().items()}}
-            grads_mono_a = {**{f"top.{k}": v for k, v in g_top.items()},
-                            **{f"bottom.{k}": v for k, v in g_ba.items()}}
-            decay_a = {f"top.{k}" for k in split.top.decay_full()} | {
-                f"bottom.{k}" for k in split.bottom_a.decay_full()}
-            adam_step(opt_a, params_a, grads_mono_a, decay_full=decay_a)
-            opt_b = settings.adam()
-            adam_step(opt_b, split.bottom_b.params(), g_bb,
-                      decay_full=split.bottom_b.decay_full())
-
-            for name, value in active.bottom.params().items():
-                np.testing.assert_allclose(value, split.bottom_a.params()[name],
-                                           atol=1e-6, err_msg=f"a.{name}")
-            for name, value in active.top.params().items():
-                np.testing.assert_allclose(value, split.top.params()[name],
-                                           atol=1e-6, err_msg=f"top.{name}")
-            for name, value in passive.bottom.params().items():
-                np.testing.assert_allclose(value, split.bottom_b.params()[name],
-                                           atol=1e-6, err_msg=f"b.{name}")
+            monolith_update(split, settings, g_top, g_ba, g_bb)
+            assert_params_match(active, passive, split)
 
 
 def serve_in_thread(passive):
