@@ -51,7 +51,7 @@ settings = TrainSettings(lr=1e-2, l2=1e-4, batch_size=256, epochs=12,
 train_supervised(active, settings)
 
 # one EvalActivation per batch; probabilities are frozen after this pass
-cache = teacher_predict(active, "labeled", teacher_hash="demo-teacher", batch_size=2048)
+cache = teacher_predict(active, "labeled", batch_size=2048)
 from fedsplit.splitnn import federated_eval_probs
 
 teacher_test = federated_eval_probs(active, "test", batch_size=2048, seed=seed)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import PartitionedDataset
 from .errors import FedSplitError
 from .harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     FedSession,
     grid as run_grid,
@@ -171,13 +171,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _grid_values(config: ExperimentConfig, key: str, values: str) -> list:
+def _grid_values(key: str, values: str) -> list:
     """Type each value of one --grid axis as --set types that config field."""
-    section = next((name for name, keys in config.to_sections().items() if key in keys), None)
-    if section is None or key not in {f.name for f in fields(ExperimentConfig)}:
+    if key not in CONFIG_KEYS:
         raise SystemExit(f"--grid key '{key}' is not a config field")
     return [
-        getattr(ExperimentConfig.from_flat({f"{section}.{key}": v.strip()}), key)
+        getattr(ExperimentConfig.from_flat({CONFIG_KEYS[key]: v.strip()}), key)
         for v in values.split(",")
     ]
 
@@ -190,7 +189,7 @@ def _cmd_grid(args) -> int:
             raise SystemExit(f"--grid expects KEY=V1,V2,..., got '{item}'")
         key, values = item.split("=", 1)
         key = key.strip()
-        spec[key] = _grid_values(config, key, values)
+        spec[key] = _grid_values(key, values)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     result = run_grid(config, spec, seeds=seeds)
     print(json.dumps({

@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -527,36 +528,6 @@ def _quantize_codes(scores: np.ndarray, buckets: int) -> np.ndarray:
     return np.minimum((u * buckets).astype(np.int64), buckets - 1)
 
 
-def _normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation)."""
-    if not (0.0 < q < 1.0):
-        raise ValidationError("quantile must be in (0, 1)")
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    if q > 1.0 - p_low:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    u = q - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def synth_federated(spec: SyntheticSpec, seed: int) -> PartitionedDataset:
     """Generate an aligned two-party dataset with a declared label rule.
 
@@ -601,7 +572,7 @@ def synth_federated(spec: SyntheticSpec, seed: int) -> PartitionedDataset:
             score = t_b
         else:
             score = (t_a + t_b) / math.sqrt(2.0)
-        threshold = _normal_quantile(1.0 - p)
+        threshold = NormalDist().inv_cdf(1.0 - p)
         above = score > threshold
         hi = p + spec.lift * (1.0 - p)
         lo = p * (1.0 - spec.lift)

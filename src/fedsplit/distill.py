@@ -16,9 +16,7 @@ other-party tensors.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,42 +26,21 @@ from .metrics import MetricHistory
 from .numeric import F32, PROB_EPS, bce_loss, bernoulli_kl, sigmoid
 from .splitnn import ActiveParty, LocalModel, TrainSettings, federated_eval_probs, local_train
 
-_CACHE_MAGIC = b"VFSL"
-
 
 @dataclass
 class SoftLabelCache:
     """Frozen teacher probabilities for one data segment."""
 
     probs: np.ndarray  # float32 (n,), clamped on use
-    teacher_hash: str
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def save(self, path) -> None:
-        raw = self.teacher_hash.encode("utf-8")
-        header = _CACHE_MAGIC + struct.pack("<IH", len(self.probs), len(raw)) + raw
-        Path(path).write_bytes(header + self.probs.astype("<f4").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "SoftLabelCache":
-        data = Path(path).read_bytes()
-        if data[:4] != _CACHE_MAGIC:
-            raise ValidationError(f"{path}: not a soft-label cache")
-        n, hash_len = struct.unpack("<IH", data[4:10])
-        teacher_hash = data[10 : 10 + hash_len].decode("utf-8")
-        probs = np.frombuffer(data[10 + hash_len :], dtype="<f4")
-        if len(probs) != n:
-            raise ValidationError(f"{path}: truncated cache")
-        return cls(probs=probs.astype(F32), teacher_hash=teacher_hash)
 
 
 def teacher_predict(
     active: ActiveParty,
     segment: str,
     *,
-    teacher_hash: str = "",
     batch_size: int = 8192,
     seed: int = 0,
 ) -> SoftLabelCache:
@@ -72,7 +49,7 @@ def teacher_predict(
     probs = federated_eval_probs(
         active, segment, subset="all", batch_size=batch_size, seed=seed
     )
-    return SoftLabelCache(probs=probs.astype(F32), teacher_hash=teacher_hash)
+    return SoftLabelCache(probs=probs.astype(F32))
 
 
 def distill_loss(

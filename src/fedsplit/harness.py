@@ -66,20 +66,30 @@ from .splitnn import (
     federated_eval_probs,
     local_train,
     rng_for,
+    save_passive_checkpoint,
     schema_pair_hash,
     train_supervised,
 )
 from .transport import MsgType, handshake, inproc_pair, tcp_accept, tcp_connect, tcp_listen
 
+
+def _keyed(section: str, default, key: str | None = None):
+    """A config field stored in `section` of the INI file under `key` (by
+    default its own name) and read back as the type of `default`."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class ExperimentConfig:
     """Full declarative description of one run."""
 
-    method: str = "vfl"
-    seed: int = 0
+    method: str = _keyed("run", "vfl")
+    seed: int = _keyed("run", 0)
 
-    # data source: synthetic spec, or per-segment CSV path pairs
-    data_kind: str = "synthetic"
+    # data source: synthetic spec, or per-segment CSV path pairs; the [data]
+    # section lists the spec's fields or the csv_* paths after these two keys
+    data_kind: str = _keyed("data", "synthetic", "kind")
+    label_column: str = _keyed("data", "label")
     # desk-scale default: the paper's 5M/640K segments shrunk ~100x, with
     # hashed-categorical fields so pretraining has embedding tables to earn
     # its keep on
@@ -102,37 +112,33 @@ class ExperimentConfig:
         )
     )
     csv_paths: dict = field(default_factory=dict)
-    label_column: str = "label"
 
     # architecture
-    bottom_a: tuple = (64, 64)
-    bottom_b: tuple = (64, 64)
-    top: tuple = (64, 64)
+    bottom_a: tuple = _keyed("arch", (64, 64))
+    bottom_b: tuple = _keyed("arch", (64, 64))
+    top: tuple = _keyed("arch", (64, 64))
 
     # hyperparameters: main and fine-tune learning rates, distillation
     # weight, L2 penalty, negatives per positive, batch sizes for the
     # pretraining and downstream stages
-    lr: float = 1e-2
-    finetune_lr: float = 1e-3
-    alpha: float = 0.5
-    l2: float = 1e-4
-    k: int = 1
-    batch_pretrain: int = 10_000
-    batch_train: int = 5_000
-    eval_batch: int = 16_384
-    epochs: int = 40
-    pretrain_epochs: int = 15
-    patience: int = 3
-
-    # behavior flags
-    permute_party: str = "A"
+    lr: float = _keyed("hyper", 1e-2)
+    finetune_lr: float = _keyed("hyper", 1e-3)
+    alpha: float = _keyed("hyper", 0.5)
+    l2: float = _keyed("hyper", 1e-4)
+    k: int = _keyed("hyper", 1)
+    batch_pretrain: int = _keyed("hyper", 10_000)
+    batch_train: int = _keyed("hyper", 5_000)
+    eval_batch: int = _keyed("hyper", 16_384)
+    epochs: int = _keyed("hyper", 40)
+    pretrain_epochs: int = _keyed("hyper", 15)
+    patience: int = _keyed("hyper", 3)
 
     # execution
-    transport: str = "inproc"  # inproc | tcp
-    tcp_host: str = "127.0.0.1"
-    tcp_port: int = 9991
-    out_dir: str | None = None
-    recv_timeout: float = 30.0
+    transport: str = _keyed("exec", "inproc")  # inproc | tcp
+    tcp_host: str = _keyed("exec", "127.0.0.1")
+    tcp_port: int = _keyed("exec", 9991)
+    out_dir: str | None = _keyed("exec", None)
+    recv_timeout: float = _keyed("exec", 30.0)
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -151,31 +157,18 @@ class ExperimentConfig:
 
     # -- serialization -------------------------------------------------------
     def to_sections(self) -> dict:
-        synth = {f.name: getattr(self.synth, f.name) for f in dc_fields(self.synth)}
-        return {
-            "run": {"method": self.method, "seed": self.seed},
-            "data": {"kind": self.data_kind, "label_column": self.label_column,
-                     **({f"csv_{k}": v for k, v in self.csv_paths.items()}
-                        if self.data_kind == "csv" else synth)},
-            "arch": {
-                "bottom_a": ",".join(map(str, self.bottom_a)),
-                "bottom_b": ",".join(map(str, self.bottom_b)),
-                "top": ",".join(map(str, self.top)),
-            },
-            "hyper": {
-                "lr": self.lr, "finetune_lr": self.finetune_lr, "alpha": self.alpha,
-                "l2": self.l2, "k": self.k, "batch_pretrain": self.batch_pretrain,
-                "batch_train": self.batch_train, "eval_batch": self.eval_batch,
-                "epochs": self.epochs, "pretrain_epochs": self.pretrain_epochs,
-                "patience": self.patience,
-            },
-            "flags": {"permute_party": self.permute_party},
-            "exec": {
-                "transport": self.transport, "tcp_host": self.tcp_host,
-                "tcp_port": self.tcp_port, "out_dir": self.out_dir or "",
-                "recv_timeout": self.recv_timeout,
-            },
-        }
+        sections: dict = {}
+        for name, flat_key in CONFIG_KEYS.items():
+            section, key = flat_key.split(".")
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            sections.setdefault(section, {})[key] = "" if value is None else value
+        sections["data"].update(
+            {f"csv_{k}": v for k, v in self.csv_paths.items()} if self.data_kind == "csv"
+            else {f.name: getattr(self.synth, f.name) for f in dc_fields(self.synth)}
+        )
+        return sections
 
     def resolved_text(self) -> str:
         parser = configparser.ConfigParser()
@@ -216,73 +209,46 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
-        """Build a config from "section.key" values; an unknown key is an
-        error. Every synthetic-spec key is accepted under either data kind."""
-
-        def get(key, default):
-            return flat.get(key, default)
-
-        def widths(value):
-            if isinstance(value, tuple):
-                return value
-            return tuple(int(x) for x in str(value).split(",") if x != "")
-
+        """Build a config from "section.key" values, each read as the type of
+        its default; an unknown key or an unreadable value is an error.
+        Every synthetic-spec key is accepted under either data kind."""
         base = cls()
-        known = {f"{section}.{key}" for section, values in base.to_sections().items()
-                 for key in values}
-        for key in flat:
-            if key not in known and not key.startswith("data.csv_"):
-                raise ValidationError(f"unknown config key '{key}'")
-        data_kind = str(get("data.kind", base.data_kind))
-        synth = base.synth
-        if data_kind == "synthetic":
-            kwargs = {}
-            for f in dc_fields(SyntheticSpec):
-                raw = get(f"data.{f.name}", None)
-                if raw is None:
-                    kwargs[f.name] = getattr(base.synth, f.name)
-                elif f.name in ("rule",):
-                    kwargs[f.name] = str(raw)
-                elif f.name.startswith(("n_", "d_", "shared", "private")) or f.name in (
-                    "buckets", "embed_dim"
-                ):
-                    kwargs[f.name] = int(raw)
-                else:
-                    kwargs[f.name] = float(raw)
-            synth = SyntheticSpec(**kwargs)
-        csv_paths = {
-            key[len("data.csv_"):]: value
-            for key, value in flat.items()
-            if key.startswith("data.csv_")
-        }
-        return cls(
-            method=str(get("run.method", base.method)),
-            seed=int(get("run.seed", base.seed)),
-            data_kind=data_kind,
-            synth=synth,
-            csv_paths=csv_paths,
-            label_column=str(get("data.label_column", base.label_column)),
-            bottom_a=widths(get("arch.bottom_a", base.bottom_a)),
-            bottom_b=widths(get("arch.bottom_b", base.bottom_b)),
-            top=widths(get("arch.top", base.top)),
-            lr=float(get("hyper.lr", base.lr)),
-            finetune_lr=float(get("hyper.finetune_lr", base.finetune_lr)),
-            alpha=float(get("hyper.alpha", base.alpha)),
-            l2=float(get("hyper.l2", base.l2)),
-            k=int(get("hyper.k", base.k)),
-            batch_pretrain=int(get("hyper.batch_pretrain", base.batch_pretrain)),
-            batch_train=int(get("hyper.batch_train", base.batch_train)),
-            eval_batch=int(get("hyper.eval_batch", base.eval_batch)),
-            epochs=int(get("hyper.epochs", base.epochs)),
-            pretrain_epochs=int(get("hyper.pretrain_epochs", base.pretrain_epochs)),
-            patience=int(get("hyper.patience", base.patience)),
-            permute_party=str(get("flags.permute_party", base.permute_party)),
-            transport=str(get("exec.transport", base.transport)),
-            tcp_host=str(get("exec.tcp_host", base.tcp_host)),
-            tcp_port=int(get("exec.tcp_port", base.tcp_port)),
-            out_dir=str(get("exec.out_dir", "")) or None,
-            recv_timeout=float(get("exec.recv_timeout", base.recv_timeout)),
-        )
+        names = {flat_key: name for name, flat_key in CONFIG_KEYS.items()}
+        spec_names = {f.name for f in dc_fields(SyntheticSpec)}
+        kwargs, synth, csv_paths = {}, {}, {}
+        for flat_key, raw in flat.items():
+            section, _, key = flat_key.partition(".")
+            if flat_key in names:
+                kwargs[names[flat_key]] = _parse(flat_key, raw, getattr(base, names[flat_key]))
+            elif section == "data" and key.startswith("csv_"):
+                csv_paths[key[len("csv_"):]] = raw
+            elif section == "data" and key in spec_names:
+                synth[key] = _parse(flat_key, raw, getattr(base.synth, key))
+            else:
+                raise ValidationError(f"unknown config key '{flat_key}'")
+        return cls(**kwargs, synth=replace(base.synth, **synth), csv_paths=csv_paths)
+
+
+# "section.key" of each field that the INI file stores as one value
+CONFIG_KEYS = {
+    f.name: f"{f.metadata['section']}.{f.metadata['key'] or f.name}"
+    for f in dc_fields(ExperimentConfig) if f.metadata
+}
+
+
+def _parse(flat_key: str, raw, default):
+    """raw as the type of default: a tuple holds comma-separated ints, and
+    a None default is an optional string."""
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(x) for x in str(raw).split(",") if x != "")
+        if default is None:
+            return str(raw) or None
+        return type(default)(raw)
+    except ValueError:
+        raise ValidationError(
+            f"config key '{flat_key}': '{raw}' is not a valid {type(default).__name__}"
+        ) from None
 
 
 def load_dataset(config: ExperimentConfig) -> PartitionedDataset:
@@ -510,7 +476,7 @@ def _settings(config, *, lr, epochs, batch, stage, patience) -> TrainSettings:
 def _pretrain_key(config):
     return ("mpd-pretrain", config.data_key(), config.seed, config.lr, config.l2,
             config.batch_pretrain, config.pretrain_epochs, config.k,
-            config.permute_party, config.bottom_a, config.bottom_b, config.top)
+            config.bottom_a, config.bottom_b, config.top)
 
 
 def _fed_key(config, stage_key, lr, parents):
@@ -577,8 +543,7 @@ def _pretrain_in(session, config) -> MetricHistory:
     )
     settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
                          batch=config.batch_pretrain, stage="mpd", patience=None)
-    return mpd_mod.pretrain(session.active, settings, k=config.k,
-                            permute_party=config.permute_party)
+    return mpd_mod.pretrain(session.active, settings, k=config.k)
 
 
 def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
@@ -657,25 +622,30 @@ def _stage_fed_train(config, dataset, ctx, session_factory, done):
             history = train_supervised(session.active, settings)
             out = {"key": key, "history": history, **_score_fed(config, dataset, session)}
             if config.out_dir:
-                _save_fed_checkpoint(config, session, stage_key)
+                session.save_passive(stage_key)
             return out
 
-    return ctx.stage(key, build)
+    # a stage served from the cache opens no session, so party B's
+    # checkpoint comes from the cached parameters as well
+    cached = key in ctx.cache
+    out = ctx.stage(key, build)
+    if config.out_dir:
+        _save_fed_checkpoint(config, dataset, out["params"], stage_key, with_b=cached)
+    return out
 
 
-def _save_fed_checkpoint(config, session, stage_key):
-    run_dir = _run_dir(config)
-    if run_dir is None:
-        return
-    stage_dir = Path(run_dir) / stage_key
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    params = {
-        **{f"a.{k}": v for k, v in session.active.bottom.params().items()},
-        **{f"top.{k}": v for k, v in session.active.top.params().items()},
-    }
-    save_checkpoint(stage_dir / "party_a.ckpt", params, session.schema_hash,
-                    meta={"stage": stage_key, "config_hash": config.config_hash()})
-    session.save_passive(stage_key)
+def _save_fed_checkpoint(config, dataset, params, stage_key, *, with_b):
+    run_dir = Path(_run_dir(config))
+    schema_hash = schema_pair_hash(dataset.schema_a, dataset.schema_b)
+    (run_dir / stage_key).mkdir(parents=True, exist_ok=True)
+    save_checkpoint(
+        run_dir / stage_key / "party_a.ckpt",
+        {**{f"a.{k}": v for k, v in params["a"].items()},
+         **{f"top.{k}": v for k, v in params["top"].items()}},
+        schema_hash, meta={"stage": stage_key, "config_hash": config.config_hash()},
+    )
+    if with_b:
+        save_passive_checkpoint(run_dir, stage_key, params["b"], schema_hash)
 
 
 def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
@@ -689,9 +659,7 @@ def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
             session.active.top.set_params(copy_params(teacher["params"]["top"]))
             _seed_passive(session, teacher["params"]["b"])
             return teacher_predict(
-                session.active, segment,
-                teacher_hash=config.config_hash(),
-                batch_size=config.eval_batch, seed=config.seed,
+                session.active, segment, batch_size=config.eval_batch, seed=config.seed,
             )
 
     return {"soft": ctx.stage(("soft-labels", segment, teacher["key"]), build)}
@@ -803,26 +771,10 @@ class RunReport:
     error: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "config_hash": self.config_hash,
-            "method": self.method,
-            "seed": self.seed,
-            "test_auc": self.test_auc,
-            "baseline_auc": self.baseline_auc,
-            "improvement": self.improvement,
-            "stages": self.stages,
-            "histories": {
-                name: [json.loads(line) for line in h.to_jsonl().splitlines()]
-                for name, h in self.histories.items()
-            },
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "inference_messages": self.inference_messages,
-            "wall_time": self.wall_time,
-            "failed_stage": self.failed_stage,
-            "error": self.error,
+        payload = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        payload["histories"] = {
+            name: [json.loads(line) for line in h.to_jsonl().splitlines()]
+            for name, h in self.histories.items()
         }
         return json.dumps(payload, indent=2)
 

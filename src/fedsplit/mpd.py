@@ -1,14 +1,14 @@
 """Matched Pair Detection pretraining on unlabeled aligned pairs.
 
 Each unlabeled batch yields one positive batch (the aligned pairs, target 1)
-and k negative batches built by permuting one party's half with a
+and k negative batches built by permuting party A's half with a
 derangement -- a permutation with no fixed point, so no "negative" row is a
 true pair (up to duplicate rows). The federated model is trained to tell
 the two apart; afterwards only the bottom encoders are kept.
 
 Because the permutation acts on rows and the bottom model is row-wise, the
 driver permutes the already-computed hidden block instead of re-encoding
-permuted raw rows: f(P X) = P f(X) exactly. The unpermuted party's hidden
+permuted raw rows: f(P X) = P f(X) exactly. Party B's hidden
 block is reused for the positive and every negative batch, so one batch
 still costs exactly one Activation and one Gradient message, exchanged by
 the same `ActiveParty.recv_hidden` and `send_gradient` as a supervised
@@ -86,7 +86,6 @@ def pretrain(
     settings: TrainSettings,
     *,
     k: int = 1,
-    permute_party: str = "A",
 ) -> MetricHistory:
     """Federated matched-pair pretraining over the unlabeled segment.
 
@@ -106,7 +105,7 @@ def pretrain(
     def step(epoch, batch_no, rows, diverged):
         rng = np.random.default_rng([settings.seed, STREAM_DERANGE, epoch, batch_no])
         perms = [sample_derangement(len(rows), rng) for _ in range(k)]
-        loss, hits, total = _mpd_protocol_step(active, seg.a.take(rows), perms, permute_party)
+        loss, hits, total = _mpd_protocol_step(active, seg.a.take(rows), perms)
         tally[0] += hits
         tally[1] += total
         return loss
@@ -127,11 +126,11 @@ def _mpd_protocol_step(
     active: ActiveParty,
     block_a: FeatureBlock,
     perms: list[np.ndarray],
-    permute_party: str,
 ) -> tuple[float, int, int]:
     """One pretraining batch over the wire: one Activation in, one Gradient out.
 
-    Returns (loss, correct_classifications, classified_rows).
+    Each negative block pairs party A's hidden rows, permuted by one
+    derangement, with party B's rows as they are. Returns (loss, correct_classifications, classified_rows).
     """
     h_a, h_b = active.recv_hidden(block_a)
     m = block_a.n_rows
@@ -140,11 +139,7 @@ def _mpd_protocol_step(
     neg_caches = []
     neg_logits = []
     for perm in perms:
-        if permute_party == "A":
-            fused_neg = np.hstack([h_a[perm], h_b])
-        else:
-            fused_neg = np.hstack([h_a, h_b[perm]])
-        z, cache = active.top.forward(fused_neg)
+        z, cache = active.top.forward(np.hstack([h_a[perm], h_b]))
         neg_caches.append(cache)
         neg_logits.append(z)
     logits_neg = np.concatenate(neg_logits)
@@ -160,12 +155,8 @@ def _mpd_protocol_step(
         grad_fused_neg, g_top = active.top.backward(neg_caches[i], g)
         for name, value in g_top.items():
             grads_top[name] = grads_top[name] + value
-        if permute_party == "A":
-            np.add.at(grad_h_a, perm, grad_fused_neg[:, :d_a])
-            grad_h_b += grad_fused_neg[:, d_a:]
-        else:
-            grad_h_a += grad_fused_neg[:, :d_a]
-            np.add.at(grad_h_b, perm, grad_fused_neg[:, d_a:])
+        np.add.at(grad_h_a, perm, grad_fused_neg[:, :d_a])
+        grad_h_b += grad_fused_neg[:, d_a:]
 
     grads_bottom = active.send_gradient(grad_h_a, grad_h_b)
     active.apply_update(

@@ -98,16 +98,11 @@ class TrainSettings:
     epochs: int = 30
     patience: int | None = 3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_batch_size: int = 8192
     stage: str = "fed"
 
     def adam(self) -> AdamState:
-        return AdamState(
-            lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps, l2=self.l2
-        )
+        return AdamState(lr=self.lr, l2=self.l2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +467,6 @@ class ActiveParty:
                 "name": name,
                 "lr": repr(settings.lr),
                 "l2": repr(settings.l2),
-                "beta1": repr(settings.beta1),
-                "beta2": repr(settings.beta2),
-                "adam_eps": repr(settings.adam_eps),
             },
         )
 
@@ -484,6 +476,13 @@ class ActiveParty:
     def set_my_params(self, mapping) -> None:
         self.bottom.set_params(_strip(mapping, "bottom"))
         self.top.set_params(_strip(mapping, "top"))
+
+
+def save_passive_checkpoint(save_dir, tag: str, params: Mapping[str, np.ndarray],
+                            schema_hash: str) -> None:
+    """Write party B's bottom parameters as `party_b_<tag>.ckpt` in save_dir."""
+    ckpt.save_checkpoint(f"{save_dir}/party_b_{tag}.ckpt", _prefix(params, "b"), schema_hash,
+                         meta={"role": "passive", "tag": tag})
 
 
 class PassiveParty:
@@ -575,13 +574,7 @@ class PassiveParty:
             self.send_activation(block.take(rows[pos]), for_eval=True)
 
     def _handle_phase(self, meta: dict) -> None:
-        self.optimizer = AdamState(
-            lr=float(meta["lr"]),
-            beta1=float(meta["beta1"]),
-            beta2=float(meta["beta2"]),
-            eps=float(meta["adam_eps"]),
-            l2=float(meta["l2"]),
-        )
+        self.optimizer = AdamState(lr=float(meta["lr"]), l2=float(meta["l2"]))
 
     def _handle_reinit(self, meta: dict) -> None:
         widths = [layer.n_out for layer in self.bottom.mlp.layers]
@@ -617,13 +610,8 @@ class PassiveParty:
                 self._handle_reinit(msg.meta)
             elif cmd == "save":
                 if self.save_dir is not None:
-                    path = f"{self.save_dir}/party_b_{msg.meta.get('tag', 'final')}.ckpt"
-                    ckpt.save_checkpoint(
-                        path,
-                        _prefix(self.bottom.params(), "b"),
-                        self.schema_hash,
-                        meta={"role": "passive", **{k: v for k, v in msg.meta.items() if k not in ("cmd",)}},
-                    )
+                    save_passive_checkpoint(self.save_dir, msg.meta.get("tag", "final"),
+                                            self.bottom.params(), self.schema_hash)
             else:
                 raise ProtocolError(f"unknown control command '{cmd}'")
 

@@ -13,7 +13,8 @@ Wire format (one frame per message, all integers little-endian):
 Activation, Gradient and EvalActivation frames carry a float32 matrix and
 nothing else. Hello/Control/Bye frames carry no matrix; their key=value
 metadata travels as a UTF-8 block in the payload slot with rows = 0 and
-cols = byte length (rows = cols = 0 when there is no metadata either).
+cols = byte length (rows = cols = 0 when there is no metadata either). A
+header claiming a payload over MAX_BODY bytes is refused before it is read.
 
 The in-process channel and the TCP channel run the identical encode/decode
 path, so a training run cannot observe which transport it is on. Channels
@@ -40,6 +41,8 @@ WIRE_VERSION = 1
 DEFAULT_TIMEOUT = 30.0
 
 _HEADER = struct.Struct("<4sBBQII")
+# largest frame body a header may claim; a longer one is refused unread
+MAX_BODY = 2**31 - 1
 
 
 class MsgType(IntEnum):
@@ -135,9 +138,10 @@ def body_length(header: bytes) -> int:
         msg_type = MsgType(type_code)
     except ValueError:
         raise ProtocolError(f"unknown message type {type_code}") from None
-    if msg_type in MATRIX_TYPES:
-        return rows * cols * 4
-    return cols
+    n = rows * cols * 4 if msg_type in MATRIX_TYPES else cols
+    if n > MAX_BODY:
+        raise ProtocolError(f"frame header claims a {n}-byte body, over {MAX_BODY}")
+    return n
 
 
 @dataclass
@@ -220,7 +224,8 @@ class Channel:
     def recv(self, timeout: float | None = None) -> ProtocolMessage:
         t = self.timeout if timeout is None else timeout
         header = self._read_exact(_HEADER.size, t)
-        body = self._read_exact(body_length(header), t) if body_length(header) else b""
+        n = body_length(header)
+        body = self._read_exact(n, t) if n else b""
         msg = decode_frame(header, body)
         if msg.round <= self._recv_round:
             raise ProtocolError(

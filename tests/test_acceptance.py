@@ -396,7 +396,7 @@ class TestCriterion09DistillationDegenerations:
         baseline = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(11, 24))
         hist_base = local_train(baseline, dataset.labeled.a, dataset.labeled.y, settings)
 
-        cache = SoftLabelCache(probs=np.full(3000, 0.5, dtype=F32), teacher_hash="t")
+        cache = SoftLabelCache(probs=np.full(3000, 0.5, dtype=F32))
         student = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(11, 24))
         hist_student = distill(student, dataset.labeled.a, dataset.labeled.y, cache,
                                settings, alpha=1.0)
@@ -431,7 +431,7 @@ class TestCriterion10DeploymentIndependence:
                              rule="additive", lift=0.9, noise=0.3)
         dataset = synth_federated(spec, seed=12)
         student = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(12, 24))
-        cache = SoftLabelCache(probs=np.full(2000, 0.5, dtype=F32), teacher_hash="t")
+        cache = SoftLabelCache(probs=np.full(2000, 0.5, dtype=F32))
         distill(student, dataset.labeled.a, dataset.labeled.y, cache,
                 TrainSettings(lr=1e-2, batch_size=256, epochs=2, patience=None,
                               seed=12, stage="local"), alpha=0.5)

@@ -80,6 +80,13 @@ class TestRunCommand:
         assert report["stages"] == ["fed-train"]
         assert report["messages_sent"]["GRADIENT"] > 0
 
+    @pytest.mark.parametrize("args", [("run", "--set", "hyper.epochs=two"),
+                                      ("grid", "--grid", "epochs=1,two")])
+    def test_unreadable_value_exits_with_its_key(self, args):
+        proc = cli(*args, "--method", "vfl")
+        assert proc.returncode == 2
+        assert "hyper.epochs" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_grid_over_an_integer_hyperparameter(self):
         proc = cli("grid", "--method", "vfl", "--grid", "epochs=1,2", "--seeds", "0",
                    *BASE_SETS)

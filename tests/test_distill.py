@@ -40,7 +40,7 @@ class TestTeacherPredict:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
         thread = serve_in_thread(passive)
-        cache = teacher_predict(active, "labeled", teacher_hash="t0", batch_size=256)
+        cache = teacher_predict(active, "labeled", batch_size=256)
         active.channel.send_new(MsgType.BYE)
         thread.join()
         np.testing.assert_array_equal(cache.probs, np.full(600, 0.5, dtype=F32))
@@ -76,25 +76,6 @@ class TestTeacherPredict:
         thread.join()
         assert passive.channel.counters.sent == {"EVAL_ACTIVATION": 4}
         assert active.channel.counters.sent.get("GRADIENT", 0) == 0
-
-
-class TestSoftLabelCacheFile:
-    def test_round_trip(self, tmp_path):
-        cache = SoftLabelCache(probs=np.array([0.1, 0.9, 0.5], dtype=F32),
-                               teacher_hash="abcd1234")
-        path = tmp_path / "soft.bin"
-        cache.save(path)
-        loaded = SoftLabelCache.load(path)
-        assert loaded.teacher_hash == "abcd1234"
-        np.testing.assert_array_equal(loaded.probs, cache.probs)
-
-    def test_layout(self, tmp_path):
-        cache = SoftLabelCache(probs=np.array([1.0], dtype=F32), teacher_hash="h")
-        path = tmp_path / "soft.bin"
-        cache.save(path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"VFSL"
-        assert int.from_bytes(raw[4:8], "little") == 1
 
 
 class TestDistillLoss:
@@ -169,7 +150,7 @@ class TestDistill:
                                                epochs=5, patience=None, seed=seed,
                                                stage="fed"))
         before = params_checksum(active.my_params())
-        cache = teacher_predict(active, "labeled", teacher_hash="teach", batch_size=512)
+        cache = teacher_predict(active, "labeled", batch_size=512)
         after = params_checksum(active.my_params())
         active.channel.send_new(MsgType.BYE)
         thread.join()
@@ -201,7 +182,7 @@ class TestDistill:
         dataset = small_dataset(seed=6, n=400)
         probs = np.full(400, 0.5, dtype=F32)
         probs[37] = np.nan
-        cache = SoftLabelCache(probs=probs, teacher_hash="x")
+        cache = SoftLabelCache(probs=probs)
         student = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(6, 24))
         with pytest.raises(DataError, match="37"):
             distill(student, dataset.labeled.a, dataset.labeled.y, cache,
@@ -209,7 +190,7 @@ class TestDistill:
 
     def test_cache_length_mismatch_rejected(self):
         dataset = small_dataset(seed=7, n=300)
-        cache = SoftLabelCache(probs=np.full(299, 0.5, dtype=F32), teacher_hash="x")
+        cache = SoftLabelCache(probs=np.full(299, 0.5, dtype=F32))
         student = LocalModel.create(dataset.schema_a, (8,), (4,), rng_for(7, 24))
         with pytest.raises(DataError, match="299"):
             distill(student, dataset.labeled.a, dataset.labeled.y, cache,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fedsplit.harness
+from fedsplit.checkpoint import load_checkpoint
 from fedsplit.data import SyntheticSpec
 from fedsplit.errors import ValidationError
 from fedsplit.harness import (
@@ -44,6 +45,57 @@ def tiny_config(method="vfl", seed=0, **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+GOLDEN_RESOLVED_TEXT = """\
+[run]
+method = local-ssd
+seed = 7
+
+[data]
+kind = synthetic
+label_column = label
+n_labeled = 800
+n_unlabeled = 1600
+n_test = 400
+d_a = 6
+d_b = 6
+rule = xor
+positive_rate = 0.5
+lift = 1.0
+leak = 0.3
+shared_dim = 2
+private_dim = 1
+noise = 0.3
+buckets = 0
+embed_dim = 8
+
+[arch]
+bottom_a = 8,4
+bottom_b = 8
+top = 4
+
+[hyper]
+lr = 0.01
+finetune_lr = 0.005
+alpha = 0.5
+l2 = 0.0001
+k = 1
+batch_pretrain = 256
+batch_train = 256
+eval_batch = 1024
+epochs = 3
+pretrain_epochs = 2
+patience = 3
+
+[exec]
+transport = inproc
+tcp_host = 127.0.0.1
+tcp_port = 9991
+out_dir = /data/out
+recv_timeout = 30.0
+
+"""
 
 
 class TestConfig:
@@ -91,7 +143,7 @@ class TestConfig:
             label_column="clicked", bottom_a=(9, 3), bottom_b=(7,), top=(5, 2),
             lr=0.25, finetune_lr=0.125, alpha=0.75, l2=3e-6, k=3,
             batch_pretrain=77, batch_train=33, eval_batch=99, epochs=4,
-            pretrain_epochs=6, patience=2, permute_party="B", transport="tcp",
+            pretrain_epochs=6, patience=2, transport="tcp",
             tcp_host="10.0.0.2", tcp_port=4242, out_dir=str(tmp_path / "out"),
             recv_timeout=2.5,
         )
@@ -114,6 +166,27 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         config.to_file(path)
         assert ExperimentConfig.from_file(path) == config
+
+    def test_resolved_text_is_the_ini_file(self):
+        config = tiny_config(method="local-ssd", seed=7, bottom_a=(8, 4), out_dir="/data/out")
+        assert config.resolved_text() == GOLDEN_RESOLVED_TEXT
+        assert ExperimentConfig.from_flat(
+            {f"{section}.{key}": value for section, values in config.to_sections().items()
+             for key, value in values.items()}) == config
+
+    @pytest.mark.parametrize("key, value", [
+        ("hyper.epochs", "two"), ("run.seed", "1.5"), ("arch.top", "4,x"),
+        ("exec.recv_timeout", "soon"), ("data.n_labeled", "7.5"), ("data.noise", "low"),
+    ])
+    def test_unreadable_value_is_rejected_by_key(self, key, value):
+        with pytest.raises(ValidationError, match=f"'{key}'"):
+            ExperimentConfig.from_flat({key: value})
+
+    def test_values_take_the_type_of_their_default(self):
+        config = ExperimentConfig.from_flat(
+            {"hyper.lr": "1", "data.noise": "0", "data.buckets": "5", "exec.out_dir": ""})
+        assert type(config.lr) is float and type(config.synth.noise) is float
+        assert config.synth.buckets == 5 and config.out_dir is None
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -384,6 +457,26 @@ class TestGrid:
                              "val_auc": report.histories["distill"].best_val_auc,
                              "test_auc": report.test_auc})
         assert result.table == separate
+
+    def test_a_cell_served_from_the_cache_writes_its_stage_checkpoints(self, tmp_path,
+                                                                       monkeypatch):
+        config = tiny_config(method="local-sd", out_dir=str(tmp_path))
+        calls = self._count_stage_calls(monkeypatch)
+        grid(config, {"alpha": [0.25, 0.75]}, seeds=(0,))
+        assert calls["train_supervised"] == 1
+        loaded = []
+        for alpha in (0.25, 0.75):
+            run_dir = tmp_path / "runs" / replace(config, alpha=alpha).config_hash()
+            a_params, _, a_meta = load_checkpoint(run_dir / "vfl" / "party_a.ckpt")
+            b_params, _, b_meta = load_checkpoint(run_dir / "party_b_vfl.ckpt")
+            assert a_meta["config_hash"] == run_dir.name
+            assert b_meta == {"role": "passive", "tag": "vfl"}
+            loaded.append({**a_params, **b_params})
+        first, second = loaded
+        assert sorted(first) == sorted(second)
+        assert any(name.startswith("b.") for name in first)
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name])
 
     def test_cells_differing_in_eval_batch_train_their_own_stage(self, monkeypatch):
         config = tiny_config(method="vfl", epochs=1)

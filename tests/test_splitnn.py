@@ -423,7 +423,7 @@ class TestPassivePrivacy:
                                                patience=None, seed=5, stage="fed"))
         active.channel.send_new(MsgType.BYE)
         thread.join()
-        allowed = {"cmd", "name", "lr", "l2", "beta1", "beta2", "adam_eps",
+        allowed = {"cmd", "name", "lr", "l2",
                    "segment", "subset", "split_seed", "shuffle", "batch_size",
                    "drop_short", "best", "rng_key", "tag", "wire_version",
                    "schema_hash", "config_hash", "role"}

@@ -1,12 +1,15 @@
 """Frame format, channel ordering, handshake, and TCP/in-process parity."""
 
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from fedsplit.errors import HandshakeError, ProtocolError, TransportTimeout
 from fedsplit.transport import (
+    MAX_BODY,
     MsgType,
     ProtocolMessage,
     body_length,
@@ -90,6 +93,54 @@ class TestFrameFormat:
         raw = frame_of(MsgType.ACTIVATION, payload=payload)
         with pytest.raises(ProtocolError):
             decode_frame(raw[:22], raw[22:-4])
+
+
+def claimed_header(msg_type, rows, cols):
+    return struct.pack("<4sBBQII", b"VFSD", 1, int(msg_type), 1, rows, cols)
+
+
+class TestOversizedHeader:
+    """A header may not claim a body over MAX_BODY bytes; the channel
+    refuses it before reading, on either transport."""
+
+    @pytest.mark.parametrize("msg_type, rows, cols", [
+        (MsgType.ACTIVATION, 0xFFFFFFFF, 0xFFFFFFFF),
+        (MsgType.GRADIENT, 2**20, 2**10),
+        (MsgType.CONTROL, 0, 2**31),
+    ])
+    def test_body_length_refuses_the_header(self, msg_type, rows, cols):
+        with pytest.raises(ProtocolError, match="byte body"):
+            body_length(claimed_header(msg_type, rows, cols))
+
+    def test_largest_allowed_body_passes(self):
+        assert MAX_BODY == 2**31 - 1
+        assert body_length(claimed_header(MsgType.CONTROL, 0, MAX_BODY)) == MAX_BODY
+
+    def test_inproc_recv_refuses_it_unread(self):
+        a, b = inproc_pair(timeout=30.0)
+        a._write(claimed_header(MsgType.ACTIVATION, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(ProtocolError, match="byte body"):
+            b.recv()
+
+    def test_tcp_recv_refuses_it_without_waiting(self):
+        server = tcp_listen("127.0.0.1", 0)
+        port = server.getsockname()[1]
+        accepted = {}
+        t = threading.Thread(target=lambda: accepted.update(chan=tcp_accept(server)))
+        t.start()
+        active = tcp_connect("127.0.0.1", port, timeout=30.0)
+        t.join()
+        try:
+            for rows, cols in [(0xFFFFFFFF, 0xFFFFFFFF), (2**20, 2**10)]:
+                active._write(claimed_header(MsgType.ACTIVATION, rows, cols))
+                t0 = time.perf_counter()
+                with pytest.raises(ProtocolError, match="byte body"):
+                    accepted["chan"].recv()
+                assert time.perf_counter() - t0 < 5.0
+        finally:
+            active.close()
+            accepted["chan"].close()
+            server.close()
 
 
 class TestInProcChannel:
