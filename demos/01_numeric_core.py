@@ -3,6 +3,9 @@
 Run with: python demos/01_numeric_core.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fedsplit.numeric import (
@@ -13,9 +16,11 @@ from fedsplit.numeric import (
     adam_step,
     bce_loss,
     bernoulli_kl,
-    grad_check,
     log_sigmoid,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for tests/oracles.py
+from oracles import grad_check  # noqa: E402
 
 rng = np.random.default_rng(0)
 

@@ -4,6 +4,9 @@ and the synthetic generators used throughout the test suite.
 Run with: python demos/02_data_and_hashing.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fedsplit.data import (
@@ -13,11 +16,13 @@ from fedsplit.data import (
     batch_indices,
     hash_feature,
     parse_schema,
-    synth_categorical_pair,
     synth_federated,
     validation_split,
 )
 from fedsplit.metrics import auc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for tests/oracles.py
+from oracles import synth_categorical_pair  # noqa: E402
 
 # --- schemas declare each party's fields in model-input order
 schema_text = """

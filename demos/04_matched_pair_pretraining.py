@@ -10,12 +10,13 @@ Run with: python demos/04_matched_pair_pretraining.py
 """
 
 import math
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 
-from fedsplit.data import synth_categorical_pair
-from fedsplit.mpd import mpd_loss, pmi_probe, pretrain, sample_derangement
+from fedsplit.mpd import mpd_loss, pretrain, sample_derangement
 from fedsplit.splitnn import (
     ActiveParty,
     BottomModel,
@@ -26,6 +27,9 @@ from fedsplit.splitnn import (
     rng_for,
 )
 from fedsplit.transport import MsgType, inproc_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for tests/oracles.py
+from oracles import pmi_probe, synth_categorical_pair  # noqa: E402
 
 rng = np.random.default_rng(0)
 

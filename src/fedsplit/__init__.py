@@ -8,7 +8,7 @@ aligned rows are exploited with matched-pair detection pretraining.
 
 Start with `fedsplit.harness.run` / `run_matrix` for end-to-end pipelines,
 or compose the pieces directly: `data` (schemas, hashing, synthetic
-generators), `numeric` (layers, losses, Adam, gradient checking),
+generators), `numeric` (layers, losses, Adam),
 `transport` (framed channel), `splitnn` (party runtimes and trainers),
 `mpd` (pretraining), `distill` (teacher-student transfer), `metrics`
 (AUC, early stopping).

@@ -59,7 +59,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"checkpoint string is not UTF-8: {exc}") from None
 
 
 def save_checkpoint(path, params: dict, schema_hash: str, meta: dict | None = None) -> None:

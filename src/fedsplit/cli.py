@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import PartitionedDataset
-from .errors import FedSplitError
+from .errors import FedSplitError, ValidationError
 from .harness import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -190,7 +190,10 @@ def _cmd_grid(args) -> int:
         key, values = item.split("=", 1)
         key = key.strip()
         spec[key] = _grid_values(key, values)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ValidationError(f"--seeds expects comma-separated integers: '{args.seeds}'") from None
     result = run_grid(config, spec, seeds=seeds)
     print(json.dumps({
         "method": result.method,

@@ -130,7 +130,10 @@ def parse_schema(text: str, party: str) -> PartySchema:
             key, value = token.split("=", 1)
             if key not in ("buckets", "embed_dim"):
                 raise SchemaError(f"schema line {lineno}: unknown option '{key}'")
-            kwargs[key] = int(value)
+            try:
+                kwargs[key] = int(value)
+            except ValueError:
+                raise SchemaError(f"schema line {lineno}: non-integer {key} in '{line}'") from None
         fields.append(FieldSpec(name=name, kind=kind, **kwargs))
     return PartySchema(party=party, fields=tuple(fields))
 
@@ -624,62 +627,3 @@ def synth_federated(spec: SyntheticSpec, seed: int) -> PartitionedDataset:
             }
     return dataset
 
-
-def synth_categorical_pair(
-    n: int,
-    values: int,
-    coupling,
-    seed: int,
-    *,
-    embed_dim: int = 8,
-    n_labeled: int = 0,
-) -> PartitionedDataset:
-    """Categorical probe data with a known joint distribution.
-
-    Party A draws a value uniformly from range(values); with probability
-    coupling(a) party B copies it, otherwise B draws uniformly. `coupling`
-    is a float or a (low, high) pair graded linearly over A's values, so the
-    exact pointwise mutual information varies across pairs. Encoded indices
-    are the raw values (no hashing), keeping the joint distribution exact.
-    """
-    if values < 2:
-        raise ValidationError("need at least two categorical values")
-    if isinstance(coupling, (tuple, list)):
-        lo, hi = coupling
-        c = np.linspace(lo, hi, values)
-    else:
-        c = np.full(values, float(coupling))
-    if np.any((c < 0) | (c > 1)):
-        raise ValidationError("coupling probabilities must lie in [0, 1]")
-    rng = np.random.default_rng([seed, 104])
-    a = rng.integers(0, values, size=n)
-    copy = rng.random(n) < c[a]
-    b = np.where(copy, a, rng.integers(0, values, size=n))
-
-    schema_a = PartySchema(
-        party="A",
-        fields=(FieldSpec("a_cat", CATEGORICAL, buckets=values, embed_dim=embed_dim),),
-    )
-    schema_b = PartySchema(
-        party="B",
-        fields=(FieldSpec("b_cat", CATEGORICAL, buckets=values, embed_dim=embed_dim),),
-    )
-
-    def _block(vals: np.ndarray) -> FeatureBlock:
-        return FeatureBlock(
-            cat=vals.reshape(-1, 1).astype(np.int64),
-            num=np.zeros((len(vals), 0), dtype=F32),
-        )
-
-    labeled = Segment(
-        a=_block(a[:n_labeled]),
-        b=_block(b[:n_labeled]),
-        y=np.zeros(n_labeled, dtype=F32),
-    )
-    unlabeled = Segment(a=_block(a[n_labeled:]), b=_block(b[n_labeled:]))
-    return PartitionedDataset(
-        schema_a=schema_a,
-        schema_b=schema_b,
-        labeled=labeled,
-        unlabeled=unlabeled,
-    )

@@ -322,7 +322,9 @@ class FedSession:
 
     In-process mode runs PassiveParty.serve() on a reused worker thread over
     a queue-backed channel pair; TCP mode connects to a peer started with
-    `serve_party_b`. Either way, the active side sees the same object.
+    `serve_party_b`. Either way, the active side sees the same object. An
+    in-process passive party that fails closes its channel, so the active
+    side fails at once, and leaving the session raises the passive's error.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: PartitionedDataset):
@@ -373,8 +375,11 @@ class FedSession:
                 config_hash=self.config.config_hash(),
             )
             self.passive.serve()
-        except BaseException as exc:  # surfaced on close()
+        except BaseException as exc:  # surfaced on close() or __exit__
             self._passive_error.append(exc)
+        finally:
+            # end of stream: the active party's next read fails at once
+            self.passive.channel.close()
 
     # -- helpers usable only when both parties live in this process ----------
     def set_passive_bottom(self, params: dict) -> None:
@@ -417,6 +422,9 @@ class FedSession:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.close()
+        elif self._passive_error:
+            # the passive party failed first; the active error is its symptom
+            raise self._passive_error[0] from exc
         else:
             try:
                 self.active.channel.send_new(MsgType.BYE)
@@ -905,8 +913,7 @@ def _write_artifacts(config, report, final):
     )
 
 
-def run_matrix(config: ExperimentConfig, methods=METHODS, seeds=(0, 1, 2),
-               datasets: dict | None = None) -> dict:
+def run_matrix(config: ExperimentConfig, methods=METHODS, seeds=(0, 1, 2)) -> dict:
     """Run several methods over several seeds, sharing stage outputs.
 
     Returns {method: {seed: RunReport}}. In-process transport only."""
@@ -914,7 +921,7 @@ def run_matrix(config: ExperimentConfig, methods=METHODS, seeds=(0, 1, 2),
     for seed in seeds:
         ctx = RunContext()
         seed_config = replace(config, seed=seed)
-        dataset = (datasets or {}).get(seed) or load_dataset(seed_config)
+        dataset = load_dataset(seed_config)
         for method in methods:
             method_config = replace(seed_config, method=method)
             out.setdefault(method, {})[seed] = run(

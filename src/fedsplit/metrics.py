@@ -88,8 +88,7 @@ class EpochRecord:
 
 @dataclass
 class MetricHistory:
-    """Per-epoch records plus best-epoch accounting (argmax validation AUC,
-    first occurrence on ties)."""
+    """Per-epoch records plus the best validation AUC over them."""
 
     records: list[EpochRecord] = field(default_factory=list)
 
@@ -101,44 +100,12 @@ class MetricHistory:
         return [r.val_auc for r in self.records if r.val_auc is not None]
 
     @property
-    def best_epoch(self) -> int | None:
-        """1-based epoch of the best validation AUC; None without evals."""
-        best = None
-        best_auc = -np.inf
-        for r in self.records:
-            if r.val_auc is not None and r.val_auc > best_auc:
-                best_auc = r.val_auc
-                best = r.epoch
-        return best
-
-    @property
     def best_val_auc(self) -> float | None:
         aucs = self.val_aucs
         return max(aucs) if aucs else None
 
     def to_jsonl(self) -> str:
         return "\n".join(r.to_json() for r in self.records) + ("\n" if self.records else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "MetricHistory":
-        history = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            known = {"epoch", "train_loss", "val_auc", "wall_time", "messages_sent", "bytes_sent"}
-            history.append(
-                EpochRecord(
-                    epoch=raw["epoch"],
-                    train_loss=raw["train_loss"],
-                    val_auc=raw["val_auc"],
-                    wall_time=raw["wall_time"],
-                    messages_sent=raw.get("messages_sent", 0),
-                    bytes_sent=raw.get("bytes_sent", 0),
-                    extra={k: v for k, v in raw.items() if k not in known},
-                )
-            )
-        return history
 
 
 def early_stop(val_aucs, patience: int) -> tuple[bool, int]:
@@ -166,10 +133,3 @@ def early_stop(val_aucs, patience: int) -> tuple[bool, int]:
                 return True, best_index
     return False, best_index
 
-
-def epochs_to_auc(history: MetricHistory, target_auc: float) -> int | None:
-    """First 1-based epoch whose validation AUC reaches target; None if never."""
-    for r in history.records:
-        if r.val_auc is not None and r.val_auc >= target_auc:
-            return r.epoch
-    return None

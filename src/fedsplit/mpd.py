@@ -21,14 +21,14 @@ The objective per batch of m rows with k negatives per positive is
 which is the negated, batch-size-normalized form of the sum of
 log-likelihood terms over one positive and k negative draws per pair. At
 convergence the top model's logit estimates the pointwise mutual
-information of the pair shifted by -log k, which `pmi_probe` checks against
-exact counts on a small categorical dataset.
+information of the pair shifted by -log k; the PMI probe in
+`tests/oracles.py` checks this against exact counts on a small categorical
+dataset.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .numeric import F32, log_sigmoid, sigmoid
 from .splitnn import (
     STREAM_DERANGE,
     ActiveParty,
-    SplitModel,
     TrainSettings,
     _epoch_loop,
     _prefix,
@@ -166,85 +165,3 @@ def _mpd_protocol_step(
     total = int(logits_pos.size + logits_neg.size)
     return loss, hits, total
 
-
-@dataclass
-class PmiPair:
-    value_a: int
-    value_b: int
-    count: int
-    pmi: float
-    logit: float
-
-
-@dataclass
-class PmiProbeReport:
-    """Agreement between trained match logits and exact shifted PMI."""
-
-    pairs: list[PmiPair]
-    pearson: float
-    mean_abs_dev: float
-    mean_logit: float
-    k: int
-    min_count: int
-
-
-def pmi_probe(
-    model: SplitModel,
-    block_a: FeatureBlock,
-    block_b: FeatureBlock,
-    *,
-    k: int = 1,
-    min_count: int = 50,
-) -> PmiProbeReport:
-    """Compare trained match logits with PMI - log k from exact counts.
-
-    The probe data must be single-categorical-field per party. Pairs
-    occurring fewer than min_count times are excluded. PMI is computed from
-    the dataset's own counts: log(#(a,b) * N / (#a * #b)).
-    """
-    if block_a.cat.shape[1] != 1 or block_b.cat.shape[1] != 1:
-        raise ValidationError("pmi_probe expects one categorical field per party")
-    a = block_a.cat[:, 0]
-    b = block_b.cat[:, 0]
-    n = len(a)
-    pair_counts: dict[tuple[int, int], int] = {}
-    for va, vb in zip(a.tolist(), b.tolist()):
-        pair_counts[(va, vb)] = pair_counts.get((va, vb), 0) + 1
-    count_a: dict[int, int] = {}
-    count_b: dict[int, int] = {}
-    for va in a.tolist():
-        count_a[va] = count_a.get(va, 0) + 1
-    for vb in b.tolist():
-        count_b[vb] = count_b.get(vb, 0) + 1
-
-    kept = [(pair, c) for pair, c in sorted(pair_counts.items()) if c >= min_count]
-    if not kept:
-        raise ValidationError(f"no pair reaches min_count={min_count}")
-    probe_a = FeatureBlock(
-        cat=np.array([[p[0][0]] for p in kept], dtype=np.int64),
-        num=np.zeros((len(kept), 0), dtype=F32),
-    )
-    probe_b = FeatureBlock(
-        cat=np.array([[p[0][1]] for p in kept], dtype=np.int64),
-        num=np.zeros((len(kept), 0), dtype=F32),
-    )
-    logits = model.predict_logits(probe_a, probe_b)
-
-    pairs = []
-    for ((va, vb), c), logit in zip(kept, logits):
-        pmi = math.log(c * n / (count_a[va] * count_b[vb]))
-        pairs.append(PmiPair(value_a=va, value_b=vb, count=c, pmi=pmi, logit=float(logit)))
-    target = np.array([p.pmi - math.log(k) for p in pairs])
-    got = np.array([p.logit for p in pairs])
-    if len(pairs) >= 2 and target.std() > 0 and got.std() > 0:
-        pearson = float(np.corrcoef(target, got)[0, 1])
-    else:
-        pearson = float("nan")
-    return PmiProbeReport(
-        pairs=pairs,
-        pearson=pearson,
-        mean_abs_dev=float(np.abs(got - target).mean()),
-        mean_logit=float(got.mean()),
-        k=k,
-        min_count=min_count,
-    )

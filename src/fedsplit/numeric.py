@@ -4,12 +4,11 @@ Everything is plain numpy. Parameters and activations are float32 matrices;
 matrix products and reductions accumulate in float64 before rounding back,
 so results are reproducible bit for bit given the same inputs. The same
 kernels run unchanged on float64 arrays, which is how the gradient checker
-evaluates its shadow copy of a model.
+in `tests/oracles.py` evaluates its shadow copy of a model.
 
 Contents: dense layers (ReLU / identity), hashed-feature embedding tables,
 numerically safe sigmoid / log-sigmoid, binary cross-entropy on logits,
-Bernoulli KL divergence, Adam with L2 added to the gradient, and a
-central-difference gradient checker.
+Bernoulli KL divergence, and Adam with L2 added to the gradient.
 
 Adam updates its moments and the parameters in place through per-optimizer
 work buffers, in the same order of elementwise operations as the textbook
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -204,10 +203,6 @@ class EmbeddingTable:
     def buckets(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
     def lookup(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx)
         if idx.ndim != 1:
@@ -241,14 +236,13 @@ class Mlp:
         widths: Iterable[int],
         rng: np.random.Generator,
         *,
-        hidden_activation: str = RELU,
         final_activation: str = RELU,
     ):
         widths = list(widths)
         layers = []
         prev = n_in
         for i, w in enumerate(widths):
-            act = final_activation if i == len(widths) - 1 else hidden_activation
+            act = final_activation if i == len(widths) - 1 else RELU
             layers.append(DenseLayer.create(prev, w, act, rng))
             prev = w
         return cls(layers)
@@ -406,64 +400,3 @@ def adam_step(
     state.work = work
     return params
 
-
-@dataclass
-class GradCheckReport:
-    """Outcome of a finite-difference gradient check."""
-
-    max_rel_error: float
-    worst_param: str
-    tolerance: float
-    n_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def grad_check(
-    model,
-    loss_fn: Callable,
-    tolerance: float = 1e-3,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Compare analytic gradients against central differences on a float64
-    shadow copy of the model.
-
-    `model` must expose params() / set_params(); set_params binds arrays by
-    reference, so perturbing a shadow entry in place re-evaluates the model
-    at the perturbed point. `loss_fn(model)` must run a full forward and
-    backward pass and return (loss, grads_by_param_name). The analytic
-    gradients are taken from the same float64 evaluation, so the comparison
-    is free of float32 rounding.
-    """
-    originals = dict(model.params())
-    shadow = {k: v.astype(F64) for k, v in originals.items()}
-    model.set_params(shadow)
-    try:
-        _, analytic = loss_fn(model)
-        worst = 0.0
-        worst_name = ""
-        n = 0
-        for name, arr in shadow.items():
-            flat = arr.reshape(-1)
-            a_flat = np.asarray(analytic[name], dtype=F64).reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                loss_plus, _ = loss_fn(model)
-                flat[i] = orig - step
-                loss_minus, _ = loss_fn(model)
-                flat[i] = orig
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
-                denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-                err = abs(a_flat[i] - numeric) / denom
-                n += 1
-                if err > worst:
-                    worst = err
-                    worst_name = name
-    finally:
-        model.set_params(originals)
-    return GradCheckReport(
-        max_rel_error=worst, worst_param=worst_name, tolerance=tolerance, n_checked=n
-    )

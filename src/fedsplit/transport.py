@@ -28,6 +28,7 @@ import hashlib
 import queue
 import socket
 import struct
+import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -79,8 +80,12 @@ def _encode_meta(meta: dict) -> bytes:
 def _decode_meta(body: bytes) -> dict:
     if not body:
         return {}
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"frame metadata is not UTF-8: {exc}") from None
     out = {}
-    for line in body.decode("utf-8").split("\n"):
+    for line in text.split("\n"):
         key, _, value = line.partition("=")
         out[key] = value
     return out
@@ -263,7 +268,8 @@ class Channel:
 
 
 class InProcChannel(Channel):
-    """Queue-backed channel; frames still pass through encode/decode."""
+    """Queue-backed channel; frames still pass through encode/decode, and
+    close() ends the peer's stream after the frames sent before it."""
 
     def __init__(self, outbox: queue.Queue, inbox: queue.Queue, name: str = "",
                  timeout: float = DEFAULT_TIMEOUT):
@@ -278,13 +284,20 @@ class InProcChannel(Channel):
     def _read_exact(self, n: int, timeout: float) -> bytes:
         while len(self._buffer) < n:
             try:
-                self._buffer += self._inbox.get(timeout=timeout)
+                chunk = self._inbox.get(timeout=timeout)
             except queue.Empty:
                 raise TransportTimeout(
                     f"recv timed out after {timeout}s on channel '{self.name}'"
                 ) from None
+            if chunk is None:  # end of stream, left in place for later reads
+                self._inbox.put(None)
+                raise TransportError(f"peer closed connection on '{self.name}'")
+            self._buffer += chunk
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
+
+    def close(self) -> None:
+        self._outbox.put(None)
 
 
 def inproc_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InProcChannel, InProcChannel]:
@@ -344,42 +357,30 @@ def tcp_listen(host: str, port: int) -> socket.socket:
     return server
 
 
-def tcp_accept(server: socket.socket, *, timeout: float = DEFAULT_TIMEOUT,
-               name: str = "passive") -> TcpChannel:
+def tcp_accept(server: socket.socket, *, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
     server.settimeout(timeout)
     try:
         conn, _ = server.accept()
     except socket.timeout:
         raise TransportTimeout("no connection arrived before the deadline") from None
-    return TcpChannel(conn, name=name)
+    return TcpChannel(conn, name="passive")
 
 
-def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT,
-                name: str = "active", retries: int = 50, retry_delay: float = 0.1) -> TcpChannel:
-    import time
-
+def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
     last: Exception | None = None
-    for _ in range(max(1, retries)):
+    for _ in range(50):  # the peer may still be starting: retry for 5 s
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
-            return TcpChannel(sock, name=name)
+            return TcpChannel(sock, name="active")
         except OSError as exc:
             last = exc
-            time.sleep(retry_delay)
+            time.sleep(0.1)
     raise TransportError(f"could not connect to {host}:{port}: {last}")
 
 
-@dataclass
-class Session:
-    """Agreed parameters after a successful hello exchange."""
-
-    schema_hash: str
-    config_hash: str
-    peer_meta: dict
-
-
-def handshake(channel: Channel, *, role: str, schema_hash: str, config_hash: str) -> Session:
-    """Exchange Hello frames and verify that both ends agree.
+def handshake(channel: Channel, *, role: str, schema_hash: str, config_hash: str) -> dict:
+    """Exchange Hello frames, verify that both ends agree, and return the
+    peer's Hello metadata.
 
     The active end sends first. Any schema or config hash difference is
     fatal and reported with both values; no training traffic may follow a
@@ -406,4 +407,4 @@ def handshake(channel: Channel, *, role: str, schema_hash: str, config_hash: str
             )
     if theirs.get("role") == role:
         raise HandshakeError(f"both ends claim role '{role}'")
-    return Session(schema_hash=schema_hash, config_hash=config_hash, peer_meta=theirs)
+    return theirs

@@ -9,7 +9,7 @@ import numpy as np
 
 from fedsplit.data import SyntheticSpec
 from fedsplit.harness import ExperimentConfig, run_matrix
-from fedsplit.metrics import epochs_to_auc
+from oracles import best_epoch, epochs_to_auc
 
 
 def build_config(**kw):
@@ -87,7 +87,7 @@ def analyze(results, seeds):
         vfl_hist = results["vfl"][s].histories["fed-train"]
         mpd_hist = results["vfl-mpd"][s].histories["fed-finetune"]
         target = vfl_hist.best_val_auc
-        vfl_epochs = vfl_hist.best_epoch
+        vfl_epochs = best_epoch(vfl_hist)
         mpd_epochs = epochs_to_auc(mpd_hist, target)
         ok = mpd_epochs is not None and mpd_epochs < vfl_epochs
         ok8 += ok

@@ -26,21 +26,19 @@ from fedsplit.data import (
     PartySchema,
     Segment,
     SyntheticSpec,
-    synth_categorical_pair,
     synth_federated,
 )
 from fedsplit.checkpoint import load_checkpoint, save_checkpoint
 from fedsplit.distill import SoftLabelCache, distill, distill_loss, teacher_predict
 from fedsplit.harness import ExperimentConfig, run_matrix
-from fedsplit.metrics import auc, epochs_to_auc
-from fedsplit.mpd import mpd_loss, pmi_probe, pretrain, sample_derangement
+from fedsplit.metrics import auc
+from fedsplit.mpd import mpd_loss, pretrain, sample_derangement
 from fedsplit.numeric import (
     AdamState,
     DenseLayer,
     Mlp,
     bce_loss,
     bernoulli_kl,
-    grad_check,
     sigmoid,
 )
 from fedsplit.splitnn import (
@@ -58,6 +56,7 @@ from fedsplit.splitnn import (
 )
 from fedsplit.transport import MsgType, inproc_pair
 
+from oracles import best_epoch, epochs_to_auc, grad_check, pmi_probe, synth_categorical_pair
 from test_metrics import auc_pair_counting
 from test_splitnn import (
     assert_params_match,
@@ -376,7 +375,7 @@ class TestCriterion08ConvergenceSpeed:
             plain = matrix["vfl"][s].histories["fed-train"]
             pre = matrix["vfl-mpd"][s].histories["fed-finetune"]
             target = plain.best_val_auc
-            plain_epochs = plain.best_epoch
+            plain_epochs = best_epoch(plain)
             pre_epochs = epochs_to_auc(pre, target)
             wins.append(pre_epochs is not None and pre_epochs < plain_epochs)
             details.append(f"seed {s}: {pre_epochs} < {plain_epochs}")

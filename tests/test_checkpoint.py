@@ -1,10 +1,14 @@
 """Binary checkpoint format round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsplit.checkpoint import load_checkpoint, save_checkpoint
-from fedsplit.errors import ValidationError
+from fedsplit.errors import FedSplitError, ValidationError
 
 F32 = np.float32
 
@@ -55,3 +59,38 @@ def test_deterministic_bytes(tmp_path):
     save_checkpoint(p1, params, "h", meta={"k": "v"})
     save_checkpoint(p2, dict(reversed(list(params.items()))), "h", meta={"k": "v"})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def small_checkpoint_bytes(tmp_dir) -> bytes:
+    path = Path(tmp_dir) / "valid.ckpt"
+    save_checkpoint(path, {"wname": np.ones((2, 2), dtype=F32), "b": np.zeros(3, dtype=F32)},
+                    "abc", meta={"key": "val"})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("string", [b"abc", b"key", b"val", b"wname"],
+                         ids=["schema_hash", "meta_key", "meta_value", "tensor_name"])
+def test_string_that_is_not_utf8_is_rejected(tmp_path, string):
+    raw = bytearray(small_checkpoint_bytes(tmp_path))
+    raw[raw.index(string)] = 0xFF
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_file_loads_or_raises_typed(data):
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        raw = bytearray(small_checkpoint_bytes(tmp_dir))
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            raw = raw[: data.draw(st.integers(0, len(raw)))]
+        path = Path(tmp_dir) / "mutated.ckpt"
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except FedSplitError:
+            pass

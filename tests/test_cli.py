@@ -87,6 +87,11 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "hyper.epochs" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_grid_seed_that_is_not_an_integer_exits_naming_seeds(self):
+        proc = cli("grid", "--method", "vfl", "--grid", "epochs=1", "--seeds", "0,x")
+        assert proc.returncode == 2
+        assert "--seeds" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_grid_over_an_integer_hyperparameter(self):
         proc = cli("grid", "--method", "vfl", "--grid", "epochs=1,2", "--seeds", "0",
                    *BASE_SETS)

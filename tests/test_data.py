@@ -20,14 +20,14 @@ from fedsplit.data import (
     hash_feature,
     load_csv,
     parse_schema,
-    synth_categorical_pair,
     synth_federated,
     validation_split,
     _compute_stats,
     _parse_labels,
 )
-from fedsplit.errors import AlignmentError, SchemaError, ValidationError
+from fedsplit.errors import AlignmentError, FedSplitError, SchemaError, ValidationError
 from fedsplit.metrics import auc
+from oracles import synth_categorical_pair
 
 
 def write(path, text):
@@ -64,6 +64,32 @@ class TestSchema:
     def test_buckets_minimum(self):
         with pytest.raises(SchemaError):
             FieldSpec("x", "categorical", buckets=1, embed_dim=2)
+
+    def test_option_that_is_not_an_integer_names_its_line(self):
+        line = "x categorical buckets=abc embed_dim=4"
+        with pytest.raises(SchemaError, match=f"line 2: non-integer buckets in '{line}'"):
+            parse_schema(f"party A\n{line}\n", "A")
+
+
+# lines drawn from the schema grammar's own words as well as arbitrary text
+_schema_words = st.sampled_from([
+    "party", "A", "B", "x", "y", "categorical", "numerical", "#", "=",
+    "buckets=", "embed_dim=", "buckets=4", "embed_dim=2", "buckets=1", "buckets=-3",
+    "embed_dim=abc", "buckets=1_0", "size=3",
+])
+_schema_lines = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.one_of(_schema_words, st.text(max_size=6)), max_size=5).map(" ".join),
+)
+
+
+@given(st.lists(_schema_lines, max_size=6).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_schema_on_arbitrary_text_parses_or_raises_typed(text):
+    try:
+        parse_schema(text, "A")
+    except FedSplitError:
+        pass
 
 
 class TestHashFeature:

@@ -13,7 +13,7 @@ import pytest
 import fedsplit.harness
 from fedsplit.checkpoint import load_checkpoint
 from fedsplit.data import SyntheticSpec
-from fedsplit.errors import ValidationError
+from fedsplit.errors import TransportError, ValidationError
 from fedsplit.harness import (
     METHOD_STAGES,
     METHODS,
@@ -28,6 +28,7 @@ from fedsplit.harness import (
     serve_party_b,
 )
 from fedsplit.splitnn import PassiveParty
+from fedsplit.transport import MsgType
 
 
 def tiny_config(method="vfl", seed=0, **kwargs):
@@ -358,6 +359,29 @@ class TestRun:
         assert report.failed_stage is None, report.error
         assert calls == []
         assert report.baseline_auc == baseline.test_auc
+
+    def test_an_in_process_passive_fault_fails_at_once_with_its_own_type(self, monkeypatch):
+        class PassiveFault(RuntimeError):
+            pass
+
+        def fail(passive, meta):
+            raise PassiveFault("epoch handler failed")
+
+        monkeypatch.setattr(PassiveParty, "_handle_epoch", fail)
+        config = tiny_config(method="vfl", recv_timeout=20.0)
+        t0 = time.perf_counter()
+        report = run(config)
+        assert time.perf_counter() - t0 < 5.0
+        assert report.failed_stage == "fed-train"
+        assert report.error == "PassiveFault: epoch handler failed"
+
+        # the active party's own error, the closed stream, is kept as the cause
+        with pytest.raises(PassiveFault) as caught:
+            with FedSession(config, load_dataset(config)) as session:
+                session.active.channel.send_new(MsgType.CONTROL, meta={"cmd": "epoch"})
+                session.active.channel.recv()
+        assert isinstance(caught.value.__cause__, TransportError)
+        assert "peer closed connection" in str(caught.value.__cause__)
 
     def test_report_json_is_parseable(self):
         report = run(tiny_config(method="vfl"))

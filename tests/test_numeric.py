@@ -11,15 +11,14 @@ from fedsplit.numeric import (
     AdamState,
     DenseLayer,
     EmbeddingTable,
-    GradCheckReport,
     Mlp,
     adam_step,
     bce_loss,
     bernoulli_kl,
-    grad_check,
     log_sigmoid,
     sigmoid,
 )
+from oracles import grad_check
 
 F32 = np.float32
 F64 = np.float64

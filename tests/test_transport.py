@@ -1,15 +1,24 @@
 """Frame format, channel ordering, handshake, and TCP/in-process parity."""
 
+import queue
 import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedsplit.errors import HandshakeError, ProtocolError, TransportTimeout
+from fedsplit.errors import (
+    FedSplitError,
+    HandshakeError,
+    ProtocolError,
+    TransportError,
+    TransportTimeout,
+)
 from fedsplit.transport import (
     MAX_BODY,
+    InProcChannel,
     MsgType,
     ProtocolMessage,
     body_length,
@@ -87,6 +96,12 @@ class TestFrameFormat:
             encode_frame(ProtocolMessage(MsgType.ACTIVATION, round=1,
                                          payload=np.zeros((1, 1), F32),
                                          meta={"x": "1"}))
+
+    @pytest.mark.parametrize("msg_type", [MsgType.HELLO, MsgType.CONTROL], ids=["HELLO", "CONTROL"])
+    def test_metadata_that_is_not_utf8_is_a_protocol_error(self, msg_type):
+        body = b"cmd=\xff\xfe"
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            decode_frame(claimed_header(msg_type, 0, len(body)), body)
 
     def test_truncated_payload_rejected(self):
         payload = np.zeros((2, 2), dtype=F32)
@@ -172,6 +187,17 @@ class TestInProcChannel:
         with pytest.raises(TransportTimeout):
             a.recv(timeout=0.05)
 
+    def test_close_ends_the_stream_after_the_frames_sent_before_it(self):
+        a, b = inproc_pair(timeout=30.0)
+        b.send_new(MsgType.CONTROL, meta={"cmd": "x"})
+        b.close()
+        assert a.recv().meta == {"cmd": "x"}
+        for _ in range(2):  # every later read fails too, as on a closed socket
+            t0 = time.perf_counter()
+            with pytest.raises(TransportError, match="peer closed connection on 'active'"):
+                a.recv()
+            assert time.perf_counter() - t0 < 5.0
+
     def test_ten_thousand_round_echo_preserves_every_bit(self):
         a, b = inproc_pair()
         rng = np.random.default_rng(0)
@@ -201,10 +227,10 @@ class TestHandshake:
 
         t = threading.Thread(target=passive)
         t.start()
-        session = handshake(a, role="active", schema_hash="s1", config_hash="c1")
+        peer = handshake(a, role="active", schema_hash="s1", config_hash="c1")
         t.join()
-        assert session.schema_hash == "s1"
-        assert results["b"].peer_meta["role"] == "active"
+        assert peer["schema_hash"] == "s1"
+        assert results["b"]["role"] == "active"
 
     def test_hello_transcript_logs_both_config_hashes(self):
         a, b = inproc_pair()
@@ -302,3 +328,34 @@ class TestTcpChannel:
         active.close()
         accepted["chan"].close()
         server.close()
+
+
+# arbitrary chunks, and headers with the right magic and version whose
+# fields and body are arbitrary, so that decoding gets past the magic check
+_chunks = st.one_of(
+    st.binary(max_size=48),
+    st.builds(
+        lambda type_code, round_no, rows, cols, body:
+            struct.pack("<4sBBQII", b"VFSD", 1, type_code, round_no, rows, cols) + body,
+        st.integers(0, 7), st.integers(0, 3), st.integers(0, 3), st.integers(0, 24),
+        st.binary(max_size=48),
+    ),
+)
+
+
+@given(st.lists(_chunks, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_inproc_recv_on_arbitrary_bytes_decodes_or_raises_typed(chunks):
+    inbox = queue.Queue()
+    for chunk in chunks:
+        inbox.put(chunk)
+    channel = InProcChannel(outbox=queue.Queue(), inbox=inbox, name="fuzz")
+    # each recv consumes at least a header, so the stream ends in a timeout
+    for _ in range(len(chunks) * 4 + 1):
+        try:
+            channel.recv(timeout=0)
+        except TransportTimeout:
+            return
+        except FedSplitError:
+            pass
+    pytest.fail("recv never reached the end of the stream")
