@@ -276,8 +276,10 @@ def _compute_stats(values: np.ndarray) -> NumericalStats:
     mean = np.nanmean(finite, axis=0) if finite.size else np.zeros(values.shape[1])
     mean = np.where(np.isfinite(mean), mean, 0.0)
     std = np.nanstd(finite, axis=0) if finite.size else np.ones(values.shape[1])
-    std = np.where(np.isfinite(std) & (std > 0), std, 1.0)
-    return NumericalStats(mean=mean.astype(F32), std=std.astype(F32))
+    std = np.where(np.isfinite(std), std, 1.0).astype(F32)
+    # tested after the cast: a std below float32's smallest subnormal rounds to 0
+    std = np.where(std > 0, std, F32(1.0))
+    return NumericalStats(mean=mean.astype(F32), std=std)
 
 
 def _read_table(path) -> tuple[list[str], list[list[str]]]:

@@ -32,6 +32,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import queue
 import threading
 import time
@@ -149,6 +150,17 @@ class ExperimentConfig:
             raise ValidationError("distillation methods need alpha in [0, 1]")
         if self.data_kind not in ("synthetic", "csv"):
             raise ValidationError(f"unknown data kind '{self.data_kind}'")
+        for name, ok, rule in (
+            ("lr", math.isfinite(self.lr) and self.lr > 0.0, "a finite positive number"),
+            ("finetune_lr", math.isfinite(self.finetune_lr) and self.finetune_lr > 0.0,
+             "a finite positive number"),
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("recv_timeout", self.recv_timeout >= 0.0, "a non-negative number"),
+        ):
+            if not ok:
+                raise ValidationError(
+                    f"{CONFIG_KEYS[name]} must be {rule}, got {getattr(self, name)}"
+                )
         if self.method in _NEEDS_UNLABELED:
             if self.data_kind == "synthetic" and self.synth.n_unlabeled < 2:
                 raise ValidationError(f"method '{self.method}' needs an unlabeled segment")

@@ -10,10 +10,18 @@ Contents: dense layers (ReLU / identity), hashed-feature embedding tables,
 numerically safe sigmoid / log-sigmoid, binary cross-entropy on logits,
 Bernoulli KL divergence, and Adam with L2 added to the gradient.
 
+An embedding table with more rows than a batch has indices returns a
+row-sparse gradient (`RowSparseGrad`): the batch's distinct rows and their
+summed gradients, bit-identical to those rows of the dense table. A smaller
+table returns the dense table.
+
 Adam updates its moments and the parameters in place through per-optimizer
 work buffers, in the same order of elementwise operations as the textbook
 expression, so its results are bit-identical to that expression while a
-step allocates no full-size temporaries.
+step allocates no full-size temporaries. While a table has had only
+row-sparse gradients, Adam runs over its live rows, those some step has
+touched; every other row has m = v = g = 0, where the update is exactly a
+no-op, so skipping them changes no bit.
 """
 
 from __future__ import annotations
@@ -214,11 +222,49 @@ class EmbeddingTable:
             )
         return self.table[idx]
 
-    def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
-        """Dense gradient table: scatter-add of grad_rows at idx."""
+    def row_sparse(self, n_idx: int) -> bool:
+        """Whether a batch of n_idx indices gets a row-sparse gradient: only
+        when the table has more rows than the batch has indices."""
+        return self.buckets > n_idx
+
+    def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> np.ndarray | RowSparseGrad:
+        """Scatter-add of grad_rows at idx: a RowSparseGrad over the distinct
+        indices when row_sparse(len(idx)), else the dense gradient table.
+        Both accumulate each row's terms in the order of idx, so a sparse
+        row is bit-identical to the same row of the dense table."""
+        if self.row_sparse(idx.size):
+            rows, inverse = np.unique(idx, return_inverse=True)
+            values = np.zeros((rows.size, self.table.shape[1]), dtype=grad_rows.dtype)
+            np.add.at(values, inverse, grad_rows)
+            return RowSparseGrad(rows, values, self.table.shape)
         g = np.zeros(self.table.shape, dtype=grad_rows.dtype)
         np.add.at(g, idx, grad_rows)
         return g
+
+
+@dataclass(frozen=True)
+class RowSparseGrad:
+    """An embedding table's gradient that is zero outside `rows`.
+
+    rows are sorted and distinct; values[i] is row rows[i] of the full
+    gradient, whose shape is `shape`.
+    """
+
+    rows: np.ndarray  # (n,)
+    values: np.ndarray  # (n, dim)
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.values.nbytes
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The full gradient table, written into `out` when it is given."""
+        if out is None:
+            out = np.empty(self.shape, dtype=self.values.dtype)
+        out.fill(0)
+        out[self.rows] = self.values
+        return out
 
 
 class Mlp:
@@ -300,11 +346,17 @@ class Mlp:
 class AdamState:
     """Adam with bias correction; L2 is added to the gradient before the
     moment update (g <- g + l2 * param) for the parameters selected by the
-    caller's decay arguments.
+    caller's decay arguments, and for the rows of each row-sparse gradient.
 
-    work holds adam_step's two scratch tensors per parameter name. Each step
-    rebuilds it from the names it updates, so it keeps no buffers for
-    parameters the optimizer no longer sees.
+    work holds adam_step's two scratch tensors per parameter name that took
+    the dense path. Each step rebuilds it from the names it updates, so it
+    keeps no buffers for parameters the optimizer no longer sees.
+
+    live maps each table that has received only row-sparse gradients to the
+    sorted rows they touched; every other row of that table still has
+    m = v = 0. Any other parameter maps to None and takes the dense path: a
+    table does so for good once a dense gradient reaches it, its live rows
+    cover it, or it is not C-contiguous.
     """
 
     lr: float
@@ -316,12 +368,34 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     work: dict = field(default_factory=dict, repr=False)
+    live: dict = field(default_factory=dict, repr=False)
+
+
+def _live_rows(state: AdamState, name: str, g, p: np.ndarray) -> np.ndarray | None:
+    """Record this step's rows for `name`; return the rows the step must
+    update, or None when it takes the dense path."""
+    if not isinstance(g, RowSparseGrad) or not p.flags.c_contiguous:
+        state.live[name] = None
+        return None
+    if name not in state.live:
+        live = g.rows
+    elif state.live[name] is None:
+        return None
+    else:
+        # np.union1d, but sorting once: np.unique hashes, which costs ten
+        # times as much at a few thousand rows
+        merged = np.sort(np.concatenate((state.live[name], g.rows)))
+        live = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    if live.size == p.shape[0]:
+        live = None
+    state.live[name] = live
+    return live
 
 
 def adam_step(
     state: AdamState,
     params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray | RowSparseGrad],
     *,
     decay_full: Iterable[str] = (),
     decay_rows: Mapping[str, np.ndarray] | None = None,
@@ -329,8 +403,10 @@ def adam_step(
     """One bias-corrected Adam update, applied to params in place.
 
     decay_full names parameters whose whole tensor receives L2; decay_rows
-    maps embedding-table names to the row indices touched by the batch
-    (untouched rows receive no decay). The caller's grads are never written.
+    maps embedding-table names with a dense gradient to the row indices
+    touched by the batch (untouched rows receive no decay). A RowSparseGrad
+    is an embedding table's, and its L2 goes to its own rows. The caller's
+    grads are never written.
 
     m, v and each parameter are updated in place through the optimizer's
     two work buffers per parameter, so a step allocates no full-size
@@ -340,7 +416,12 @@ def adam_step(
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
 
-    so the results are bit-identical to evaluating that expression.
+    so the results are bit-identical to evaluating that expression on the
+    dense gradient. A row with m = v = g = 0 is left exactly as it was
+    (p - (+0.0) = p), so while a table has had only row-sparse gradients
+    the update runs over its live rows alone (see AdamState.live): it
+    gathers them from p, m and v, runs the same sequence, and scatters
+    them back.
     """
     decay_full = set(decay_full)
     state.step += 1
@@ -353,20 +434,44 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+        sparse = isinstance(g, RowSparseGrad)
         # g·g is finite when every element is, and needs no mask; only when
         # it is not (a NaN, an inf, or a finite g whose squares overflow)
         # does the exact elementwise check decide
-        f = g.ravel()
+        f = (g.values if sparse else g).ravel()
         with np.errstate(over="ignore"):
             screen = np.dot(f, f)
-        if not np.isfinite(screen) and not np.all(np.isfinite(g)):
+        if not np.isfinite(screen) and not np.all(np.isfinite(f)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p)
+        live = _live_rows(state, name, g, p)
+        if live is not None:
+            w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
+            pos = np.searchsorted(live, g.rows)
+            w1[pos] = g.values
+            if state.l2 > 0.0:
+                w1[pos] += state.l2 * p[g.rows]
+            gathered = [np.take(a, live, axis=0) for a in (p, m, v)]
+            _adam_update(state, c1, c2, *gathered, w1, w1, np.empty_like(w1))
+            for a, a_live in zip((p, m, v), gathered):
+                np.put(_row_items(a), live, _row_items(a_live))
+            continue
         pair = state.work.get(name)
         if pair is None or pair[0].shape != p.shape or pair[0].dtype != p.dtype:
             pair = (np.empty_like(p), np.empty_like(p))
         work[name] = pair
         w1, w2 = pair
-        if state.l2 > 0.0:
+        if sparse:
+            g.dense(out=w1)
+            if state.l2 > 0.0:
+                w1[g.rows] += state.l2 * p[g.rows]
+            g = w1
+        elif state.l2 > 0.0:
             if name in decay_full:
                 np.multiply(p, state.l2, w1)
                 np.add(g, w1, w1)
@@ -376,27 +481,33 @@ def adam_step(
                 np.copyto(w1, g)
                 w1[rows] += state.l2 * p[rows]
                 g = w1
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        np.multiply(m, b1, m)
-        np.multiply(g, 1.0 - b1, w2)
-        np.add(m, w2, m)
-        np.multiply(g, g, w2)
-        np.multiply(w2, 1.0 - b2, w2)
-        np.multiply(v, b2, v)
-        np.add(v, w2, v)
-        # g is dead from here on, so w1 may be reused even when it holds g
-        np.divide(m, c1, w1)
-        np.divide(v, c2, w2)
-        np.sqrt(w2, w2)
-        np.add(w2, state.eps, w2)
-        np.multiply(w1, state.lr, w1)
-        np.divide(w1, w2, w1)
-        np.subtract(p, w1, p)
+        _adam_update(state, c1, c2, p, m, v, g, w1, w2)
     state.work = work
     return params
 
+
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous matrix as a vector of one opaque item per row, over the
+    same memory: np.put scatters whole rows into it about three times as
+    fast as a[rows] = values."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
+
+
+def _adam_update(state: AdamState, c1: float, c2: float, p, m, v, g, w1, w2) -> None:
+    """The moment and parameter update of adam_step, in place; w1 may hold g."""
+    b1, b2 = state.beta1, state.beta2
+    np.multiply(m, b1, m)
+    np.multiply(g, 1.0 - b1, w2)
+    np.add(m, w2, m)
+    np.multiply(g, g, w2)
+    np.multiply(w2, 1.0 - b2, w2)
+    np.multiply(v, b2, v)
+    np.add(v, w2, v)
+    # g is dead from here on, so w1 may be reused even when it holds g
+    np.divide(m, c1, w1)
+    np.divide(v, c2, w2)
+    np.sqrt(w2, w2)
+    np.add(w2, state.eps, w2)
+    np.multiply(w1, state.lr, w1)
+    np.divide(w1, w2, w1)
+    np.subtract(p, w1, p)

@@ -208,12 +208,14 @@ class BottomModel:
         return {f"mlp.{name}" for name in self.mlp.weight_names()}
 
     def touched_rows(self, cache) -> dict[str, np.ndarray]:
-        """Embedding rows gathered by this batch (the only rows L2 touches)."""
+        """Embedding rows gathered by this batch (the only rows L2 touches),
+        for each table whose gradient is dense; a row-sparse gradient
+        carries its own rows."""
         block, _ = cache
         return {
             f"emb.{name}": np.unique(block.cat[:, j])
             for kind, name, j, _, _ in self._layout
-            if kind == "cat"
+            if kind == "cat" and not self.embeddings[name].row_sparse(block.n_rows)
         }
 
 

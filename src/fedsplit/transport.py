@@ -114,8 +114,14 @@ def encode_frame(msg: ProtocolMessage) -> bytes:
     return header + body
 
 
+def _unpack_header(header: bytes) -> tuple:
+    if len(header) != _HEADER.size:
+        raise ProtocolError(f"frame header has {len(header)} bytes, not {_HEADER.size}")
+    return _HEADER.unpack(header)
+
+
 def decode_frame(header: bytes, body: bytes) -> ProtocolMessage:
-    magic, version, type_code, round_no, rows, cols = _HEADER.unpack(header)
+    magic, version, type_code, round_no, rows, cols = _unpack_header(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
@@ -136,7 +142,7 @@ def decode_frame(header: bytes, body: bytes) -> ProtocolMessage:
 
 
 def body_length(header: bytes) -> int:
-    magic, _, type_code, _, rows, cols = _HEADER.unpack(header)
+    magic, _, type_code, _, rows, cols = _unpack_header(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     try:

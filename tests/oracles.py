@@ -32,7 +32,7 @@ from fedsplit.data import (
 )
 from fedsplit.errors import ValidationError
 from fedsplit.metrics import EpochRecord, MetricHistory
-from fedsplit.numeric import F32, F64
+from fedsplit.numeric import F32, F64, RowSparseGrad
 from fedsplit.splitnn import SplitModel
 
 
@@ -67,7 +67,8 @@ def grad_check(
     `model` must expose params() / set_params(); set_params binds arrays by
     reference, so perturbing a shadow entry in place re-evaluates the model
     at the perturbed point. `loss_fn(model)` must run a full forward and
-    backward pass and return (loss, grads_by_param_name). The analytic
+    backward pass and return (loss, grads_by_param_name); a row-sparse
+    embedding gradient is densified before the comparison. The analytic
     gradients are taken from the same float64 evaluation, so the comparison
     is free of float32 rounding.
     """
@@ -81,7 +82,10 @@ def grad_check(
         n = 0
         for name, arr in shadow.items():
             flat = arr.reshape(-1)
-            a_flat = np.asarray(analytic[name], dtype=F64).reshape(-1)
+            g = analytic[name]
+            if isinstance(g, RowSparseGrad):
+                g = g.dense()
+            a_flat = np.asarray(g, dtype=F64).reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step

@@ -87,6 +87,15 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "hyper.epochs" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("exec.recv_timeout", "-5"), ("hyper.epochs", "0"),
+        ("hyper.lr", "nan"), ("hyper.finetune_lr", "0"),
+    ])
+    def test_out_of_range_value_exits_with_its_key(self, key, value):
+        proc = cli("run", "--method", "vfl", "--set", f"{key}={value}")
+        assert proc.returncode == 2
+        assert key in proc.stderr and "Traceback" not in proc.stderr
+
     def test_grid_seed_that_is_not_an_integer_exits_naming_seeds(self):
         proc = cli("grid", "--method", "vfl", "--grid", "epochs=1", "--seeds", "0,x")
         assert proc.returncode == 2

@@ -200,6 +200,14 @@ class TestLoadCsv:
         assert ds.test.a.num.tolist() == [[0.0]]
         assert ds.labeled.a.num[:, 0].tolist() == [-1.0, 1.0]
 
+    def test_std_that_rounds_to_zero_in_float32_is_one(self, tmp_path):
+        # spend 0 and 1e-46 have std 5e-47, which is 0 as a float32
+        a = write(tmp_path / "a.csv", "game,spend,label\nx,0,1\ny,1e-46,0\n")
+        b = write(tmp_path / "b.csv", "channel\ns\ns\n")
+        with np.errstate(divide="raise", invalid="raise"):
+            ds = load_csv(a, b, SCHEMA_A, SCHEMA_B, "label")
+        assert ds.labeled.a.num[:, 0].tolist() == [0.0, 0.0]
+
 
 def reference_load_csv(path_a, path_b, schema_a, schema_b, label_column, *,
                        unlabeled=None, test=None):

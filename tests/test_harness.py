@@ -189,6 +189,18 @@ class TestConfig:
         assert type(config.lr) is float and type(config.synth.noise) is float
         assert config.synth.buckets == 5 and config.out_dir is None
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("recv_timeout", -5.0, "exec.recv_timeout"),
+        ("epochs", 0, "hyper.epochs"),
+        ("lr", float("nan"), "hyper.lr"),
+        ("lr", 0.0, "hyper.lr"),
+        ("finetune_lr", -1e-3, "hyper.finetune_lr"),
+        ("finetune_lr", float("nan"), "hyper.finetune_lr"),
+    ])
+    def test_out_of_range_value_is_rejected_by_key(self, field, value, key):
+        with pytest.raises(ValidationError, match=key):
+            tiny_config(**{field: value}).validate()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             tiny_config(method="magic").validate()

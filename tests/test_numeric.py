@@ -12,6 +12,7 @@ from fedsplit.numeric import (
     DenseLayer,
     EmbeddingTable,
     Mlp,
+    RowSparseGrad,
     adam_step,
     bce_loss,
     bernoulli_kl,
@@ -280,6 +281,73 @@ class TestAdamMatchesReference:
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
 
+    # batch sizes per step over a 64-row table: under 64 indices the table's
+    # gradient is row-sparse, at 64 or more it is dense
+    SCHEDULES = {
+        "row-sparse": [6] * 30,
+        "dense-step-between-sparse": [6] * 10 + [80] + [6] * 19,
+        "short-sparse-between-dense": [80] * 10 + [6] + [80] * 19,
+    }
+
+    @pytest.mark.parametrize("dtype", [F32, F64])
+    @pytest.mark.parametrize("l2", [0.0, 1e-2])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_row_sparse_steps_match_the_reference_on_the_dense_gradient(
+            self, schedule, l2, dtype):
+        rng = np.random.default_rng(9)
+        shape = (64, 3)
+        start = {"emb": rng.normal(size=shape).astype(dtype),
+                 "w": rng.normal(size=(4, 2)).astype(dtype)}
+        ours, ref = AdamState(lr=3e-2, l2=l2), AdamState(lr=3e-2, l2=l2)
+        p_ours = {k: a.copy() for k, a in start.items()}
+        p_ref = {k: a.copy() for k, a in start.items()}
+        sparse_steps = 0
+        for step, n in enumerate(self.SCHEDULES[schedule]):
+            idx = rng.zipf(1.5, size=n) % shape[0]  # repeated rows
+            rows = rng.normal(size=(n, shape[1])).astype(dtype)
+            g = EmbeddingTable(table=p_ours["emb"]).grad(idx, rows)
+            sparse_steps += isinstance(g, RowSparseGrad)
+            dense = g.dense() if isinstance(g, RowSparseGrad) else g
+            w_grad = rng.normal(size=(4, 2)).astype(dtype)
+            if step == 12:
+                # restore-best and set_params rebind a name to a new array
+                fresh = rng.normal(size=shape).astype(dtype)
+                p_ours["emb"], p_ref["emb"] = fresh.copy(), fresh.copy()
+            decay = {"emb": np.unique(idx)}
+            # a row-sparse gradient takes its L2 rows from itself
+            adam_step(ours, p_ours, {"emb": g, "w": w_grad}, decay_full={"w"},
+                      decay_rows={} if isinstance(g, RowSparseGrad) else decay)
+            reference_adam_step(ref, p_ref, {"emb": dense, "w": w_grad},
+                                decay_full={"w"}, decay_rows=decay)
+            for name in start:
+                assert p_ours[name].dtype == dtype
+                assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
+                assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+        assert sparse_steps >= 1
+
+    def test_live_rows_stay_row_sparse_until_a_dense_step(self):
+        rng = np.random.default_rng(2)
+        table = EmbeddingTable(table=rng.normal(size=(100, 2)).astype(F32))
+        state = AdamState(lr=1e-2)
+        for idx in ([5, 7, 5], [7, 9]):
+            idx = np.array(idx)
+            adam_step(state, {"emb": table.table},
+                      {"emb": table.grad(idx, np.ones((idx.size, 2), dtype=F32))})
+        np.testing.assert_array_equal(state.live["emb"], [5, 7, 9])
+        assert "emb" not in state.work
+        adam_step(state, {"emb": table.table}, {"emb": np.ones((100, 2), dtype=F32)})
+        assert state.live["emb"] is None and "emb" in state.work
+
+    def test_live_rows_that_cover_the_table_switch_it_to_the_dense_path(self):
+        table = EmbeddingTable(table=np.ones((10, 2), dtype=F32))
+        state = AdamState(lr=1e-2)
+        for idx in (np.arange(9), np.arange(1, 10)):
+            adam_step(state, {"emb": table.table},
+                      {"emb": table.grad(idx, np.ones((9, 2), dtype=F32))})
+        assert state.live["emb"] is None
+        assert np.all(table.table < 1.0)
+
     def test_work_buffers_follow_the_names_of_the_last_step(self):
         state = AdamState(lr=0.1)
         params = {"a": np.ones(3, dtype=F32), "b": np.ones(2, dtype=F32)}
@@ -407,13 +475,32 @@ class TestEmbeddingTable:
             table.lookup(np.array([5]))
 
     def test_grad_scatter_adds_duplicates(self):
+        # 4 buckets and 3 indices: the gradient is row-sparse
         table = EmbeddingTable.create(4, 2, np.random.default_rng(0))
         idx = np.array([1, 1, 2])
         grad_rows = np.ones((3, 2), dtype=F32)
         g = table.grad(idx, grad_rows)
-        np.testing.assert_array_equal(g[1], [2.0, 2.0])
-        np.testing.assert_array_equal(g[2], [1.0, 1.0])
-        np.testing.assert_array_equal(g[0], [0.0, 0.0])
+        assert isinstance(g, RowSparseGrad) and g.shape == (4, 2)
+        np.testing.assert_array_equal(g.rows, [1, 2])
+        dense = g.dense()
+        np.testing.assert_array_equal(dense[1], [2.0, 2.0])
+        np.testing.assert_array_equal(dense[2], [1.0, 1.0])
+        np.testing.assert_array_equal(dense[0], [0.0, 0.0])
+        np.testing.assert_array_equal(dense[3], [0.0, 0.0])
+        assert g.nbytes == g.rows.nbytes + g.values.nbytes
+
+    @pytest.mark.parametrize("dtype", [F32, F64])
+    def test_row_sparse_rows_are_bit_identical_to_the_dense_scatter_add(self, dtype):
+        rng = np.random.default_rng(6)
+        table = EmbeddingTable(table=rng.normal(size=(1000, 5)).astype(F32))
+        idx = rng.zipf(1.3, size=200) % 1000  # heavy repeats, as hashed IDs give
+        grad_rows = rng.normal(size=(200, 5)).astype(dtype)
+        g = table.grad(idx, grad_rows)
+        dense = np.zeros((1000, 5), dtype=dtype)
+        np.add.at(dense, idx, grad_rows)
+        assert g.values.dtype == dtype
+        np.testing.assert_array_equal(g.rows, np.unique(idx))
+        assert g.dense().tobytes() == dense.tobytes()
 
 
 class _TinyModel:

@@ -15,7 +15,15 @@ from fedsplit.data import (
 )
 from fedsplit.errors import ProtocolError, StateError
 from fedsplit.metrics import auc
-from fedsplit.numeric import AdamState, DenseLayer, Mlp, adam_step, bce_loss, sigmoid
+from fedsplit.numeric import (
+    AdamState,
+    DenseLayer,
+    Mlp,
+    RowSparseGrad,
+    adam_step,
+    bce_loss,
+    sigmoid,
+)
 from fedsplit.splitnn import (
     ActiveParty,
     BottomModel,
@@ -31,6 +39,7 @@ from fedsplit.splitnn import (
     train_supervised,
 )
 from fedsplit.transport import MsgType, inproc_pair
+from oracles import grad_check
 
 F32 = np.float32
 
@@ -488,8 +497,82 @@ class TestModelContainers:
         assert h.shape == (2, 6)
         grads = bottom.backward(cache, np.ones_like(h))
         assert set(grads) == {"emb.cat1", "emb.cat2", "mlp.layer0.weight", "mlp.layer0.bias"}
-        touched = bottom.touched_rows(cache)
-        np.testing.assert_array_equal(touched["emb.cat1"], [1, 6])
-        np.testing.assert_array_equal(touched["emb.cat2"], [0, 4])
+        # both tables have more buckets than the batch has rows, so each
+        # gradient is row-sparse and carries the touched rows itself
+        assert bottom.touched_rows(cache) == {}
+        np.testing.assert_array_equal(grads["emb.cat1"].rows, [1, 6])
+        np.testing.assert_array_equal(grads["emb.cat2"].rows, [0, 4])
         untouched = np.setdiff1d(np.arange(7), [1, 6])
-        assert np.all(grads["emb.cat1"][untouched] == 0.0)
+        assert np.all(grads["emb.cat1"].dense()[untouched] == 0.0)
+
+        # five rows: cat2's five buckets now get a dense table, cat1 stays sparse
+        block5 = FeatureBlock(
+            cat=np.array([[1, 4], [6, 0], [1, 0], [2, 3], [2, 4]], dtype=np.int64),
+            num=np.zeros((5, 1), dtype=F32),
+        )
+        h5, cache5 = bottom.forward(block5)
+        grads5 = bottom.backward(cache5, np.ones_like(h5))
+        touched = bottom.touched_rows(cache5)
+        assert set(touched) == {"emb.cat2"}
+        np.testing.assert_array_equal(touched["emb.cat2"], [0, 3, 4])
+        assert isinstance(grads5["emb.cat2"], np.ndarray)
+        np.testing.assert_array_equal(grads5["emb.cat1"].rows, [1, 2, 6])
+
+    def test_grad_check_of_a_model_with_row_sparse_embedding_gradients(self):
+        rng = np.random.default_rng(12)
+        schema = PartySchema(party="A", fields=(
+            FieldSpec("c1", "categorical", buckets=16, embed_dim=2),
+            FieldSpec("x", "numerical"),
+            FieldSpec("c2", "categorical", buckets=9, embed_dim=3),
+        ))
+        local = LocalModel.create(schema, (5,), (4,), rng_for(2, 24))
+        local.bottom.mlp.layers[0].bias += np.sign(rng.normal(size=5)).astype(F32) * 0.7
+        block = FeatureBlock(
+            cat=np.stack([rng.integers(0, 16, size=6), rng.integers(0, 9, size=6)], axis=1),
+            num=rng.normal(size=(6, 1)).astype(F32),
+        )
+        y = (rng.random(6) > 0.5).astype(F32)
+
+        def loss_fn(m):
+            logits, cache = m.forward(block)
+            loss, grad = bce_loss(logits, y)
+            grads = m.backward(cache, grad)
+            assert isinstance(grads["bottom.emb.c1"], RowSparseGrad)
+            assert isinstance(grads["bottom.emb.c2"], RowSparseGrad)
+            return loss, grads
+
+        report = grad_check(local, loss_fn, tolerance=1e-3, step=1e-5)
+        assert report.passed, report
+        assert report.n_checked == sum(p.size for p in local.params().values())
+
+    def test_bottom_step_on_a_hashed_id_table_allocates_under_an_eighth_of_it(self):
+        # A 2^16 x 8 float32 table is 2 MiB. A dense gradient alone is one
+        # whole table; the row-sparse gradient and the live-row Adam update
+        # hold only rows a few batches touched.
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        schema = PartySchema(party="A", fields=(
+            FieldSpec("user", "categorical", buckets=1 << 16, embed_dim=8),))
+        bottom = BottomModel.create(schema, (16,), rng_for(3, 1))
+        table = bottom.embeddings["user"].table
+        state = AdamState(lr=1e-3, l2=1e-4)
+
+        def step():
+            ids = (rng.zipf(1.3, size=512) % table.shape[0]).reshape(-1, 1)
+            h, cache = bottom.forward(FeatureBlock(cat=ids, num=np.zeros((512, 0), F32)))
+            grad_h = rng.normal(size=h.shape).astype(F32)
+            tracemalloc.start()
+            try:
+                grads = bottom.backward(cache, grad_h)
+                adam_step(state, bottom.params(), grads, decay_full=bottom.decay_full(),
+                          decay_rows=bottom.touched_rows(cache))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return grads["emb.user"], peak
+
+        step()  # the first step allocates the optimizer's m and v
+        g, peak = step()
+        assert peak < table.nbytes // 8, peak
+        assert g.nbytes == g.rows.nbytes + g.values.nbytes < table.nbytes // 64

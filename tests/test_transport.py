@@ -103,6 +103,13 @@ class TestFrameFormat:
         with pytest.raises(ProtocolError, match="UTF-8"):
             decode_frame(claimed_header(msg_type, 0, len(body)), body)
 
+    @pytest.mark.parametrize("header", [b"", b"VFSD", bytes(23)], ids=["0", "4", "23"])
+    def test_header_of_the_wrong_length_is_a_protocol_error(self, header):
+        with pytest.raises(ProtocolError, match="frame header has"):
+            decode_frame(header, b"")
+        with pytest.raises(ProtocolError, match="frame header has"):
+            body_length(header)
+
     def test_truncated_payload_rejected(self):
         payload = np.zeros((2, 2), dtype=F32)
         raw = frame_of(MsgType.ACTIVATION, payload=payload)
@@ -359,3 +366,32 @@ def test_inproc_recv_on_arbitrary_bytes_decodes_or_raises_typed(chunks):
         except FedSplitError:
             pass
     pytest.fail("recv never reached the end of the stream")
+
+
+# headers of any length, and well-formed ones (right magic and version, or
+# one of them off by one) whose fields are arbitrary
+_headers = st.one_of(
+    st.binary(max_size=30),
+    st.builds(
+        lambda magic, version, type_code, round_no, rows, cols:
+            struct.pack("<4sBBQII", magic, version, type_code, round_no, rows, cols),
+        st.sampled_from([b"VFSD", b"VFSE"]), st.sampled_from([1, 1, 2]),
+        st.integers(0, 255), st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+        st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+    ),
+)
+
+
+@given(_headers, st.binary(max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_decode_frame_on_arbitrary_bytes_decodes_or_raises_typed(header, body):
+    try:
+        msg = decode_frame(header, body)
+    except FedSplitError:
+        return
+    assert isinstance(msg.msg_type, MsgType)
+    if msg.msg_type in (MsgType.ACTIVATION, MsgType.GRADIENT, MsgType.EVAL_ACTIVATION):
+        assert msg.payload.dtype == F32 and msg.payload.nbytes == len(body)
+    else:
+        assert msg.payload is None and isinstance(msg.meta, dict)
