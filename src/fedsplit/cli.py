@@ -62,8 +62,11 @@ def _config_from(args) -> ExperimentConfig:
     if args.out is not None:
         overrides["exec.out_dir"] = args.out
     if args.config:
-        return ExperimentConfig.from_file(args.config, overrides)
-    return ExperimentConfig.from_flat(overrides)
+        config = ExperimentConfig.from_file(args.config, overrides)
+    else:
+        config = ExperimentConfig.from_flat(overrides)
+    config.validate()
+    return config
 
 
 def _cmd_synth(args) -> int:

@@ -63,6 +63,7 @@ from .splitnn import (
     PassiveParty,
     TopModel,
     TrainSettings,
+    _strip,
     copy_params,
     federated_eval_probs,
     local_train,
@@ -151,10 +152,21 @@ class ExperimentConfig:
         if self.data_kind not in ("synthetic", "csv"):
             raise ValidationError(f"unknown data kind '{self.data_kind}'")
         for name, ok, rule in (
+            ("seed", self.seed >= 0, "at least 0"),
             ("lr", math.isfinite(self.lr) and self.lr > 0.0, "a finite positive number"),
             ("finetune_lr", math.isfinite(self.finetune_lr) and self.finetune_lr > 0.0,
              "a finite positive number"),
+            ("l2", math.isfinite(self.l2) and self.l2 >= 0.0, "a finite non-negative number"),
+            ("k", self.k >= 1, "at least 1"),
             ("epochs", self.epochs >= 1, "at least 1"),
+            ("pretrain_epochs", self.pretrain_epochs >= 1, "at least 1"),
+            ("patience", self.patience >= 0, "at least 0"),
+            ("batch_pretrain", self.batch_pretrain >= 2, "at least 2"),
+            ("batch_train", self.batch_train >= 2, "at least 2"),
+            ("eval_batch", self.eval_batch >= 2, "at least 2"),
+            ("bottom_a", min(self.bottom_a, default=0) >= 1, "one or more widths of at least 1"),
+            ("bottom_b", min(self.bottom_b, default=0) >= 1, "one or more widths of at least 1"),
+            ("top", min(self.top, default=1) >= 1, "empty or widths of at least 1"),
             ("recv_timeout", self.recv_timeout >= 0.0, "a non-negative number"),
         ):
             if not ok:
@@ -358,14 +370,7 @@ class FedSession:
 
         if config.transport == "inproc":
             chan_a, chan_b = inproc_pair(timeout=config.recv_timeout)
-            bottom_b = BottomModel.create(
-                dataset.schema_b, config.bottom_b, rng_for(seed, STREAM_INIT_BOTTOM_B)
-            )
-            self.passive = PassiveParty(
-                chan_b, bottom_b, _passive_blocks(dataset),
-                save_dir=_run_dir(config),
-            )
-            self.passive.schema_hash = self.schema_hash
+            self.passive = _passive_party(config, dataset, chan_b)
             self.active = ActiveParty(chan_a, bottom_a, top, dataset)
             self._passive_done = _PASSIVE_WORKERS.submit(self._passive_main)
         else:
@@ -380,29 +385,34 @@ class FedSession:
 
     def _passive_main(self):
         try:
-            handshake(
-                self.passive.channel,
-                role="passive",
-                schema_hash=self.schema_hash,
-                config_hash=self.config.config_hash(),
-            )
-            self.passive.serve()
+            _serve_passive(self.passive, self.config)
         except BaseException as exc:  # surfaced on close() or __exit__
             self._passive_error.append(exc)
         finally:
             # end of stream: the active party's next read fails at once
             self.passive.channel.close()
 
-    # -- helpers usable only when both parties live in this process ----------
-    def set_passive_bottom(self, params: dict) -> None:
-        if self.passive is None:
-            raise ValidationError("cannot reach into the passive party over TCP")
-        self.passive.bottom.set_params(copy_params(params))
+    # -- the federated triple ---------------------------------------------
+    def _parts(self) -> dict:
+        b = {"b": self.passive.bottom} if self.passive is not None else {}
+        return {"a": self.active.bottom, **b, "top": self.active.top}
 
-    def passive_bottom_params(self) -> dict:
-        if self.passive is None:
-            raise ValidationError("cannot reach into the passive party over TCP")
-        return copy_params(self.passive.bottom.params())
+    def params(self) -> dict:
+        """A copy of the federated triple, named `a.*`, `b.*` and `top.*` as
+        in `SplitModel.params()`. The `b.*` part exists only in-process; over
+        TCP the peer holds B's bottom."""
+        return {f"{prefix}.{name}": value.copy()
+                for prefix, model in self._parts().items()
+                for name, value in model.params().items()}
+
+    def load(self, params: dict) -> None:
+        """Set a copy of whichever parts of the triple `params` names. Over
+        TCP its `b.*` part is not loaded: the run's one session already
+        holds B's state from the stage that produced it."""
+        for prefix, model in self._parts().items():
+            part = _strip(params, prefix)
+            if part:
+                model.set_params(copy_params(part))
 
     def reinit_passive(self, rng_key: list[int]) -> None:
         self.active.channel.send_new(
@@ -445,13 +455,25 @@ class FedSession:
         return False
 
 
-def _passive_blocks(dataset: PartitionedDataset) -> dict:
-    blocks = {"labeled": dataset.labeled.b}
-    if dataset.unlabeled is not None:
-        blocks["unlabeled"] = dataset.unlabeled.b
-    if dataset.test is not None:
-        blocks["test"] = dataset.test.b
-    return blocks
+def _passive_party(config: ExperimentConfig, dataset: PartitionedDataset,
+                   channel) -> PassiveParty:
+    """Party B's runtime over `channel`: a fresh bottom and B's feature
+    blocks, never the labels."""
+    bottom = BottomModel.create(
+        dataset.schema_b, config.bottom_b, rng_for(config.seed, STREAM_INIT_BOTTOM_B)
+    )
+    blocks = {name: segment.b for name in ("labeled", "unlabeled", "test")
+              if (segment := getattr(dataset, name)) is not None}
+    passive = PassiveParty(channel, bottom, blocks, save_dir=_run_dir(config))
+    passive.schema_hash = schema_pair_hash(dataset.schema_a, dataset.schema_b)
+    return passive
+
+
+def _serve_passive(passive: PassiveParty, config: ExperimentConfig) -> None:
+    """Answer the active party's HELLO, then serve until BYE."""
+    handshake(passive.channel, role="passive", schema_hash=passive.schema_hash,
+              config_hash=config.config_hash())
+    passive.serve()
 
 
 def _run_dir(config: ExperimentConfig) -> str | None:
@@ -460,13 +482,6 @@ def _run_dir(config: ExperimentConfig) -> str | None:
     path = Path(config.out_dir) / "runs" / config.config_hash()
     path.mkdir(parents=True, exist_ok=True)
     return str(path)
-
-
-def _seed_passive(session: FedSession, params: dict) -> None:
-    if session.passive is not None and params:
-        session.set_passive_bottom(params)
-    # over TCP the shared session's passive peer already carries this state
-    # from the preceding in-session stage
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +528,9 @@ def _baseline_key(config):
 # Every stage function takes (config, dataset, ctx, session_factory, done),
 # where `done` maps the names of the method's earlier stages to their
 # outputs, and returns its own output: a dict that may carry the stage's
-# "history" and, for a method's final stage, its "test_auc", its
-# "inference_messages" and its final "params".
+# "history", its "test_auc", its "inference_messages" and its "params". A
+# federated stage's params are one flat dict named as `FedSession.params()`
+# names them; a local stage's are party A's `LocalModel.params()`.
 
 
 def _stage_baseline_local(config, dataset, ctx, session_factory=None, done=None):
@@ -536,7 +552,7 @@ def _stage_student(config, dataset, ctx, session_factory, done):
         rng_for(config.seed, STREAM_INIT_LOCAL_A),
     )
     if pre is not None:
-        model.bottom.set_params(copy_params(pre["bottom_a"]))
+        model.bottom.set_params(copy_params(_strip(pre["params"], "a")))
     settings = _settings(config, lr=config.lr if pre is None else config.finetune_lr,
                          epochs=config.epochs, batch=config.batch_train, stage="local",
                          patience=config.patience)
@@ -567,7 +583,8 @@ def _pretrain_in(session, config) -> MetricHistory:
 
 
 def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
-    """Matched-pair pretraining; returns both pretrained bottoms."""
+    """Matched-pair pretraining; its params are both pretrained bottoms,
+    without the match-task top."""
 
     def build():
         with session_factory() as session:
@@ -575,11 +592,8 @@ def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
         # no message answers the last gradient, so only close(), which waits
         # for the in-process passive party to return, orders its last update
         # before the copy
-        return {
-            "bottom_a": copy_params(session.active.bottom.params()),
-            "bottom_b": session.passive_bottom_params() if session.passive else {},
-            "history": history,
-        }
+        params = {k: v for k, v in session.params().items() if not k.startswith("top.")}
+        return {"params": params, "history": history}
 
     return ctx.stage(_pretrain_key(config), build)
 
@@ -596,11 +610,7 @@ def _score_fed(config, dataset, session) -> dict:
     return {
         "test_auc": auc(probs, dataset.test.y).auc,
         "inference_messages": after - before,
-        "params": {
-            "a": copy_params(session.active.bottom.params()),
-            "b": session.passive_bottom_params() if session.passive else {},
-            "top": copy_params(session.active.top.params()),
-        },
+        "params": session.params(),
     }
 
 
@@ -623,8 +633,7 @@ def _stage_fed_train(config, dataset, ctx, session_factory, done):
             # top is always fresh (the match-task top is never reused), so
             # a shared TCP session replays the in-process stage exactly
             if pre is not None:
-                session.active.bottom.set_params(copy_params(pre["bottom_a"]))
-                _seed_passive(session, pre["bottom_b"])
+                session.load(pre["params"])
             else:
                 session.active.bottom = BottomModel.create(
                     dataset.schema_a, config.bottom_a,
@@ -660,12 +669,11 @@ def _save_fed_checkpoint(config, dataset, params, stage_key, *, with_b):
     (run_dir / stage_key).mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         run_dir / stage_key / "party_a.ckpt",
-        {**{f"a.{k}": v for k, v in params["a"].items()},
-         **{f"top.{k}": v for k, v in params["top"].items()}},
+        {k: v for k, v in params.items() if not k.startswith("b.")},
         schema_hash, meta={"stage": stage_key, "config_hash": config.config_hash()},
     )
     if with_b:
-        save_passive_checkpoint(run_dir, stage_key, params["b"], schema_hash)
+        save_passive_checkpoint(run_dir, stage_key, _strip(params, "b"), schema_hash)
 
 
 def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
@@ -675,9 +683,7 @@ def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
 
     def build():
         with session_factory() as session:
-            session.active.bottom.set_params(copy_params(teacher["params"]["a"]))
-            session.active.top.set_params(copy_params(teacher["params"]["top"]))
-            _seed_passive(session, teacher["params"]["b"])
+            session.load(teacher["params"])
             return teacher_predict(
                 session.active, segment, batch_size=config.eval_batch, seed=config.seed,
             )
@@ -910,17 +916,8 @@ def _write_artifacts(config, report, final):
         stage_dir = root / stage
         stage_dir.mkdir(parents=True, exist_ok=True)
         (stage_dir / "metrics.jsonl").write_text(history.to_jsonl(), encoding="utf-8")
-    params = final["params"]
-    if params and isinstance(next(iter(params.values())), dict):
-        flat = {
-            f"{side}.{name}": value
-            for side, side_params in params.items()
-            for name, value in side_params.items()
-        }
-    else:
-        flat = dict(params)
     save_checkpoint(
-        root / "final.ckpt", flat, schema_hash="",
+        root / "final.ckpt", final["params"], schema_hash="",
         meta={"method": config.method, "config_hash": config.config_hash()},
     )
 
@@ -994,23 +991,10 @@ def serve_party_b(config: ExperimentConfig, host: str | None = None,
     party runtime: only feature blocks are handed to it.
     """
     dataset = load_dataset(config)
-    schema_hash = schema_pair_hash(dataset.schema_a, dataset.schema_b)
     server = tcp_listen(host or config.tcp_host, port or config.tcp_port)
     try:
         channel = tcp_accept(server, timeout=config.recv_timeout)
     finally:
         server.close()
-    handshake(
-        channel, role="passive",
-        schema_hash=schema_hash, config_hash=config.config_hash(),
-    )
-    bottom_b = BottomModel.create(
-        dataset.schema_b, config.bottom_b, rng_for(config.seed, STREAM_INIT_BOTTOM_B)
-    )
-    passive = PassiveParty(
-        channel, bottom_b, _passive_blocks(dataset),
-        save_dir=_run_dir(config),
-    )
-    passive.schema_hash = schema_hash
-    passive.serve()
+    _serve_passive(_passive_party(config, dataset, channel), config)
     channel.close()

@@ -40,7 +40,6 @@ from .errors import ProtocolError, ShapeError, StateError, ValidationError
 from .metrics import IMPROVEMENT_EPS, EpochRecord, MetricHistory, auc, early_stop
 from .numeric import (
     F32,
-    RELU,
     AdamState,
     EmbeddingTable,
     Mlp,
@@ -88,6 +87,17 @@ def copy_params(params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
+def subset_rows(n: int, subset: str, seed: int) -> np.ndarray:
+    """The rows of an n-row segment that a control frame's subset names:
+    "all" of them, or the "train" or "val" side of the seed's split."""
+    if subset == "all":
+        return np.arange(n)
+    if subset not in ("train", "val"):
+        raise ValidationError(f"unknown subset '{subset}'")
+    train_idx, val_idx = validation_split(n, split_key(seed))
+    return train_idx if subset == "train" else val_idx
+
+
 @dataclass
 class TrainSettings:
     """Hyperparameters of one training stage."""
@@ -120,20 +130,12 @@ class BottomModel:
         self._layout = self._build_layout()
 
     @classmethod
-    def create(
-        cls,
-        schema: PartySchema,
-        widths,
-        rng: np.random.Generator,
-        *,
-        final_activation: str = RELU,
-    ) -> "BottomModel":
+    def create(cls, schema: PartySchema, widths, rng: np.random.Generator) -> "BottomModel":
         embeddings = {
             f.name: EmbeddingTable.create(f.buckets, f.embed_dim, rng)
             for f in schema.cat_fields
         }
-        mlp = Mlp.create(schema.post_embed_dim, widths, rng, final_activation=final_activation)
-        return cls(schema, embeddings, mlp)
+        return cls(schema, embeddings, Mlp.create(schema.post_embed_dim, widths, rng))
 
     def _build_layout(self):
         layout = []
@@ -487,6 +489,32 @@ def save_passive_checkpoint(save_dir, tag: str, params: Mapping[str, np.ndarray]
                          meta={"role": "passive", "tag": tag})
 
 
+def _seed(text: str) -> int:
+    """A seed for default_rng, which needs it non-negative."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _seed_key(text: str) -> list[int]:
+    return [_seed(x) for x in text.split(",")]
+
+
+def _field(meta: dict, name: str, parse: Callable, default: str | None = None):
+    """parse(meta[name]); a control frame whose field is missing or does not
+    parse is a ProtocolError naming its command and the field."""
+    raw = meta.get(name, default)
+    if raw is None:
+        raise ProtocolError(f"control '{meta.get('cmd')}' has no field '{name}'")
+    try:
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ProtocolError(
+            f"control '{meta.get('cmd')}': field '{name}' = {raw!r} is invalid ({exc})"
+        ) from None
+
+
 class PassiveParty:
     """Feature-only party: bottom f_B and a message-driven serve loop.
 
@@ -547,21 +575,16 @@ class PassiveParty:
 
     # -- command handlers ----------------------------------------------------
     def _rows_for(self, meta: dict) -> tuple[FeatureBlock, np.ndarray]:
-        block = self.blocks[meta["segment"]]
-        subset = meta.get("subset", "all")
-        if subset == "all":
-            rows = np.arange(block.n_rows)
-        else:
-            train_idx, val_idx = validation_split(block.n_rows, [int(meta["split_seed"]), STREAM_SPLIT])
-            rows = train_idx if subset == "train" else val_idx
-        return block, rows
+        block = _field(meta, "segment", self.blocks.__getitem__)
+        seed = _field(meta, "split_seed", _seed)
+        return block, _field(meta, "subset", lambda s: subset_rows(block.n_rows, s, seed), "all")
 
     def _handle_epoch(self, meta: dict) -> None:
         block, rows = self._rows_for(meta)
-        skey = [int(x) for x in meta["shuffle"].split(",")]
+        skey = _field(meta, "shuffle", _seed_key)
         for pos in batch_indices(
             len(rows),
-            int(meta["batch_size"]),
+            _field(meta, "batch_size", int),
             skey,
             drop_short=meta.get("drop_short", "0") == "1",
         ):
@@ -571,20 +594,17 @@ class PassiveParty:
     def _handle_eval(self, meta: dict) -> None:
         block, rows = self._rows_for(meta)
         for pos in batch_indices(
-            len(rows), int(meta["batch_size"]), None, shuffle=False
+            len(rows), _field(meta, "batch_size", int), None, shuffle=False
         ):
             self.send_activation(block.take(rows[pos]), for_eval=True)
 
     def _handle_phase(self, meta: dict) -> None:
-        self.optimizer = AdamState(lr=float(meta["lr"]), l2=float(meta["l2"]))
+        self.optimizer = AdamState(lr=_field(meta, "lr", float), l2=_field(meta, "l2", float))
 
     def _handle_reinit(self, meta: dict) -> None:
         widths = [layer.n_out for layer in self.bottom.mlp.layers]
-        final_act = self.bottom.mlp.layers[-1].activation
-        rng = np.random.default_rng([int(x) for x in meta["rng_key"].split(",")])
-        self.bottom = BottomModel.create(
-            self.bottom.schema, widths, rng, final_activation=final_act
-        )
+        rng = np.random.default_rng(_field(meta, "rng_key", _seed_key))
+        self.bottom = BottomModel.create(self.bottom.schema, widths, rng)
         self._best = None
 
     def serve(self) -> None:
@@ -642,11 +662,7 @@ def federated_eval_probs(
 ) -> np.ndarray:
     """Federated inference over a segment: one EvalActivation per batch."""
     seg = _segment_of(active.dataset, segment)
-    if subset == "all":
-        rows = np.arange(seg.n_rows)
-    else:
-        train_idx, val_idx = validation_split(seg.n_rows, [seed, STREAM_SPLIT])
-        rows = train_idx if subset == "train" else val_idx
+    rows = subset_rows(seg.n_rows, subset, seed)
     active.channel.send_new(
         MsgType.CONTROL,
         meta={
@@ -832,17 +848,14 @@ def local_train(
     settings: TrainSettings,
     *,
     loss_fn: Callable | None = None,
-    train_rows: np.ndarray | None = None,
-    val_data: tuple | None = None,
 ) -> MetricHistory:
     """Single-party training, shared by the local baselines and by
     distillation (which plugs in its blended loss via loss_fn).
 
     loss_fn(logits, rows) must return (loss, dloss/dlogits); the default is
-    binary cross-entropy against y. By default validation is a
-    deterministic 1/20 split of the provided rows; callers may instead pass
-    an explicit training-row pool and (val_block, val_y) pair. Early
-    stopping and best-checkpoint restoration match the federated trainer.
+    binary cross-entropy against y. Validation is a deterministic 1/20
+    split of the rows. Early stopping and best-checkpoint restoration match
+    the federated trainer.
     A batch with a non-finite loss is skipped, the rest of its epoch still
     steps and validates, and the run ends after that epoch.
     """
@@ -851,11 +864,9 @@ def local_train(
     if loss_fn is None:
         loss_fn = lambda logits, rows: bce_loss(logits, y[rows])  # noqa: E731
 
-    if train_rows is None:
-        train_rows, val_rows = validation_split(block.n_rows, split_key(settings.seed))
-        if val_data is None and len(val_rows):
-            val_data = (block.take(val_rows), y[val_rows])
-    use_val = val_data is not None and val_data[0].n_rows > 0
+    train_rows, val_rows = validation_split(block.n_rows, split_key(settings.seed))
+    if len(val_rows):
+        val_block, val_y = block.take(val_rows), y[val_rows]
     optimizer = settings.adam()
 
     def step(epoch, batch_no, rows, diverged):
@@ -874,11 +885,10 @@ def local_train(
         return loss
 
     def validate(diverged):
-        val_block, val_y = val_data
         return auc(sigmoid(model.predict_logits(val_block)), val_y).auc
 
     return _epoch_loop(
         settings, train_rows, step,
-        validate=validate if use_val else None,
+        validate=validate if len(val_rows) else None,
         snapshot=lambda: copy_params(model.params()), restore=model.set_params,
     )

@@ -90,11 +90,20 @@ class TestRunCommand:
     @pytest.mark.parametrize("key, value", [
         ("exec.recv_timeout", "-5"), ("hyper.epochs", "0"),
         ("hyper.lr", "nan"), ("hyper.finetune_lr", "0"),
+        ("hyper.k", "0"), ("hyper.l2", "-1"), ("arch.bottom_b", "0"),
+        ("hyper.patience", "-1"), ("hyper.pretrain_epochs", "0"), ("hyper.eval_batch", "1"),
     ])
     def test_out_of_range_value_exits_with_its_key(self, key, value):
         proc = cli("run", "--method", "vfl", "--set", f"{key}={value}")
         assert proc.returncode == 2
         assert key in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["pretrain", "serve-b"])
+    def test_every_command_refuses_an_out_of_range_value(self, command, tmp_path):
+        proc = cli(command, "--method", "vfl-mpd", "--out", str(tmp_path),
+                   "--set", "hyper.k=0", "--set", "exec.recv_timeout=1", *BASE_SETS)
+        assert proc.returncode == 2
+        assert "hyper.k" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_grid_seed_that_is_not_an_integer_exits_naming_seeds(self):
         proc = cli("grid", "--method", "vfl", "--grid", "epochs=1", "--seeds", "0,x")

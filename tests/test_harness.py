@@ -9,12 +9,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedsplit.harness
 from fedsplit.checkpoint import load_checkpoint
 from fedsplit.data import SyntheticSpec
-from fedsplit.errors import TransportError, ValidationError
+from fedsplit.errors import FedSplitError, TransportError, ValidationError
 from fedsplit.harness import (
+    CONFIG_KEYS,
     METHOD_STAGES,
     METHODS,
     ExperimentConfig,
@@ -196,6 +198,19 @@ class TestConfig:
         ("lr", 0.0, "hyper.lr"),
         ("finetune_lr", -1e-3, "hyper.finetune_lr"),
         ("finetune_lr", float("nan"), "hyper.finetune_lr"),
+        ("k", 0, "hyper.k"),
+        ("l2", -1.0, "hyper.l2"),
+        ("l2", float("inf"), "hyper.l2"),
+        ("bottom_a", (), "arch.bottom_a"),
+        ("bottom_b", (0,), "arch.bottom_b"),
+        ("bottom_b", (8, -1), "arch.bottom_b"),
+        ("top", (4, 0), "arch.top"),
+        ("patience", -1, "hyper.patience"),
+        ("pretrain_epochs", 0, "hyper.pretrain_epochs"),
+        ("batch_pretrain", 1, "hyper.batch_pretrain"),
+        ("batch_train", 1, "hyper.batch_train"),
+        ("eval_batch", 1, "hyper.eval_batch"),
+        ("seed", -1, "run.seed"),
     ])
     def test_out_of_range_value_is_rejected_by_key(self, field, value, key):
         with pytest.raises(ValidationError, match=key):
@@ -212,6 +227,31 @@ class TestConfig:
         )
         with pytest.raises(ValidationError):
             bad.validate()
+
+
+# "section.key=value" lines over the real keys and arbitrary ones, with
+# values that parse as their field's type, fall out of range, or are text
+_keys = st.one_of(
+    st.sampled_from([*CONFIG_KEYS.values(), "data.n_unlabeled", "data.buckets",
+                     "data.noise", "data.rule", "data.csv_labeled_a"]),
+    st.text(max_size=12),
+)
+_values = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "-0.5", "nan", "inf", "", "8,8", "0,4",
+                     ",", "vfl", "local-ssd", "csv", "tcp", "1e999"]),
+    st.integers(-2**40, 2**40).map(str),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(st.tuples(_keys, _values), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_config_from_arbitrary_lines_validates_or_raises_typed(lines):
+    flat = dict(f"{key}={value}".partition("=")[::2] for key, value in lines)
+    try:
+        ExperimentConfig.from_flat(flat).validate()
+    except FedSplitError:
+        pass
 
 
 class TestRun:
@@ -291,10 +331,10 @@ class TestRun:
             return sessions[-1]
 
         out = _stage_mpd_pretrain(config, dataset, RunContext(), session_factory)
-        final = sessions[0].passive.bottom.params()
-        assert set(out["bottom_b"]) == set(final)
+        final = {f"b.{k}": v for k, v in sessions[0].passive.bottom.params().items()}
+        assert {k for k in out["params"] if k.startswith("b.")} == set(final)
         for name, value in final.items():
-            assert out["bottom_b"][name].tobytes() == value.tobytes(), name
+            assert out["params"][name].tobytes() == value.tobytes(), name
 
     def test_in_process_sessions_reuse_one_passive_thread(self, monkeypatch):
         # one thread per session would leave the process a new malloc arena
@@ -344,7 +384,7 @@ class TestRun:
             out = _stage_mpd_pretrain(config, dataset, RunContext(),
                                       lambda: FedSession(config, dataset))
             outer.reinit_passive([1, 2])
-        assert out["bottom_b"]
+        assert any(k.startswith("b.") for k in out["params"])
 
     def test_tcp_run_takes_its_baseline_from_the_callers_context(self, monkeypatch):
         config = tiny_config(method="baseline-local")
@@ -401,12 +441,14 @@ class TestRun:
         assert payload["method"] == "vfl"
         assert payload["histories"]["fed-train"]
 
-    def test_failed_run_reports_stage(self):
-        # batch size 1 passes config validation but the training stage
-        # rejects it (pair batches cannot be permuted)
-        report = run(tiny_config(method="vfl", batch_train=1))
+    def test_failed_run_reports_stage(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("training fault")
+
+        monkeypatch.setattr(fedsplit.harness, "train_supervised", fail)
+        report = run(tiny_config(method="vfl"))
         assert report.failed_stage == "fed-train"
-        assert report.error is not None
+        assert report.error == "RuntimeError: training fault"
         assert report.test_auc is None
 
     def test_artifacts_written(self, tmp_path):
@@ -419,6 +461,33 @@ class TestRun:
         assert (run_dir / "final.ckpt").exists()
         assert (run_dir / "vfl" / "party_a.ckpt").exists()
         assert (run_dir / "party_b_vfl.ckpt").exists()
+
+
+class TestTransportSubstitution:
+    @pytest.mark.parametrize("method, fed_stage", [("vfl-mpd", "vfl-mpd-ft"),
+                                                   ("local-sd", "vfl")])
+    def test_tcp_run_equals_in_process_run(self, tmp_path, method, fed_stage):
+        # over TCP party B's pretrained or teacher bottom stays in the peer's
+        # one session from stage to stage; in-process it is loaded into each
+        # stage's fresh session
+        config = tiny_config(method=method, out_dir=str(tmp_path / "inproc"))
+        inproc = run(config)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        tcp = replace(config, transport="tcp", tcp_port=port, recv_timeout=60.0,
+                      out_dir=str(tmp_path / "tcp"))
+        server = threading.Thread(target=serve_party_b, args=(tcp,), daemon=True)
+        server.start()
+        report = run(tcp)
+        server.join(timeout=60)
+        assert not server.is_alive()
+        assert inproc.failed_stage is None and report.failed_stage is None, report.error
+        assert report.test_auc == inproc.test_auc
+        run_dirs = [tmp_path / side / "runs" / config.config_hash() for side in ("inproc", "tcp")]
+        for name in (f"{fed_stage}/party_a.ckpt", f"party_b_{fed_stage}.ckpt"):
+            first, second = ((d / name).read_bytes() for d in run_dirs)
+            assert first == second, name
 
 
 class TestRunMatrix:

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsplit.data import (
     FeatureBlock,
@@ -13,7 +14,7 @@ from fedsplit.data import (
     SyntheticSpec,
     synth_federated,
 )
-from fedsplit.errors import ProtocolError, StateError
+from fedsplit.errors import FedSplitError, ProtocolError, StateError, ValidationError
 from fedsplit.metrics import auc
 from fedsplit.numeric import (
     AdamState,
@@ -36,6 +37,7 @@ from fedsplit.splitnn import (
     federated_eval_probs,
     local_train,
     rng_for,
+    subset_rows,
     train_supervised,
 )
 from fedsplit.transport import MsgType, inproc_pair
@@ -576,3 +578,75 @@ class TestModelContainers:
         g, peak = step()
         assert peak < table.nbytes // 8, peak
         assert g.nbytes == g.rows.nbytes + g.values.nbytes < table.nbytes // 64
+
+
+def control_passive():
+    """A passive party over 8 numerical rows, and the active end of its channel."""
+    schema_b = numeric_schema("B", 2)
+    block = num_block(np.arange(16, dtype=F32).reshape(8, 2))
+    chan_a, chan_b = inproc_pair(timeout=1.0)
+    passive = PassiveParty(chan_b, BottomModel.create(schema_b, (3,), rng_for(0, 1)),
+                           {"labeled": block})
+    return chan_a, passive
+
+
+class TestControlFrames:
+    @pytest.mark.parametrize("meta, cmd, field", [
+        ({"cmd": "epoch"}, "epoch", "segment"),
+        ({"cmd": "epoch", "segment": "unlabeled", "split_seed": "0", "shuffle": "1",
+          "batch_size": "4"}, "epoch", "segment"),
+        ({"cmd": "phase", "lr": "x", "l2": "0"}, "phase", "lr"),
+        ({"cmd": "reinit", "rng_key": "a,b"}, "reinit", "rng_key"),
+        ({"cmd": "reinit", "rng_key": "3,-1"}, "reinit", "rng_key"),
+        ({"cmd": "eval", "segment": "labeled", "subset": "bogus", "split_seed": "0",
+          "batch_size": "4"}, "eval", "subset"),
+    ])
+    def test_malformed_field_is_a_protocol_error_naming_command_and_field(
+            self, meta, cmd, field):
+        chan_a, passive = control_passive()
+        chan_a.send_new(MsgType.CONTROL, meta=meta)
+        chan_a.send_new(MsgType.BYE)
+        with pytest.raises(ProtocolError, match=f"'{cmd}'.*'{field}'"):
+            passive.serve()
+
+    def test_an_unknown_subset_is_refused_before_any_frame_is_sent(self):
+        dataset = synth_federated(
+            SyntheticSpec(n_labeled=60, n_unlabeled=0, n_test=20, d_a=2, d_b=2), seed=1)
+        active, _ = build_session(dataset, seed=1, widths=(4,), top_widths=(2,))
+        with pytest.raises(ValidationError, match="bogus"):
+            federated_eval_probs(active, "labeled", subset="bogus", batch_size=8)
+        assert active.channel.counters.snapshot() == (0, 0)
+        assert [len(subset_rows(60, s, 3)) for s in ("all", "train", "val")] == [60, 57, 3]
+
+
+_meta_text = st.text(st.characters(codec="utf-8", exclude_characters="\n="), max_size=8)
+_meta_values = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "4", "labeled", "unlabeled", "test", "all",
+                     "train", "val", "1,2,3", "a,b", "", "nan", "1e3", "final"]),
+    st.integers(-3, 2**70).map(str),
+    st.lists(st.integers(-2, 2**65), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),
+    _meta_text,
+)
+_commands = st.one_of(st.sampled_from(
+    ["phase", "epoch", "eval", "epoch-end", "restore-best", "reinit", "save"]), _meta_text)
+_fields = st.one_of(st.sampled_from(
+    ["segment", "subset", "split_seed", "shuffle", "batch_size", "drop_short", "lr", "l2",
+     "best", "rng_key", "tag"]), _meta_text)
+_control_meta = st.builds(
+    lambda cmd, rest: {**rest, "cmd": cmd},
+    _commands, st.dictionaries(_fields, _meta_values, max_size=7),
+)
+
+
+@given(st.lists(_control_meta, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_passive_serve_on_arbitrary_control_metadata_returns_or_raises_typed(metas):
+    chan_a, passive = control_passive()
+    for meta in metas:
+        chan_a.send_new(MsgType.CONTROL, meta=meta)
+    chan_a.send_new(MsgType.BYE)
+    try:
+        passive.serve()
+    except FedSplitError:
+        pass
