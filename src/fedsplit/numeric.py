@@ -113,15 +113,19 @@ def bernoulli_kl(p_teacher, p_student) -> tuple[np.ndarray, np.ndarray]:
     """KL(p || q) between Bernoulli distributions, elementwise.
 
     Both probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any
-    log. The teacher side is a constant; the returned gradient is with
-    respect to the *student logit* (d KL / d z = q - p for q = sigma(z)).
+    log, and the result is never below zero. The teacher side is a constant;
+    the returned gradient is with respect to the *student logit*
+    (d KL / d z = q - p for q = sigma(z)).
     Scalar inputs give scalar outputs.
     """
     p_in = np.asarray(p_teacher, dtype=F64)
     q_in = np.asarray(p_student, dtype=F64)
     p = np.clip(p_in, PROB_EPS, 1.0 - PROB_EPS)
     q = np.clip(q_in, PROB_EPS, 1.0 - PROB_EPS)
-    kl = p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
+    # log1p of the differences keeps the two near-cancelling terms accurate
+    # when p is close to q; the floor removes the last rounding below zero.
+    d = p - q
+    kl = np.maximum(p * np.log1p(d / q) + (1.0 - p) * np.log1p(-d / (1.0 - q)), 0.0)
     grad = q - p
     if np.ndim(p_teacher) == 0 and np.ndim(p_student) == 0:
         return float(kl), float(grad)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedsplit.errors import NumericError, ShapeError, StateError, ValidationError
 from fedsplit.numeric import (
@@ -452,6 +452,7 @@ class TestBernoulliKl:
         assert grad == 0.0
 
     @given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
+    @example(1e-6, 1.0000000000000002e-06)  # one ulp apart: rounded below zero
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_and_zero_iff_equal(self, p, q):
         kl, _ = bernoulli_kl(p, q)
