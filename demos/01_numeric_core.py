@@ -86,8 +86,8 @@ table = EmbeddingTable.create(buckets=10, dim=4, rng=rng)
 idx = np.array([3, 3, 7])
 rows = table.lookup(idx)
 g = table.grad(idx, np.ones_like(rows))
-# a table with more rows than the batch has indices gets a row-sparse
-# gradient: its distinct rows, and the summed gradient of each
+# every table's gradient is row-sparse: the batch's distinct rows, and the
+# summed gradient of each
 dense = g.dense()
 print("\nembedding grad over rows", g.rows, "accumulates duplicates: row 3 got",
       dense[3][0], ", row 7 got", dense[7][0], ", row 0 got", dense[0][0])

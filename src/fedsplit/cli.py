@@ -50,7 +50,7 @@ def _config_from(args) -> ExperimentConfig:
     overrides = {}
     for item in args.set:
         if "=" not in item:
-            raise SystemExit(f"--set expects SECTION.KEY=VALUE, got '{item}'")
+            raise ValidationError(f"--set expects SECTION.KEY=VALUE, got '{item}'")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
@@ -177,7 +177,7 @@ def _cmd_eval(args) -> int:
 def _grid_values(key: str, values: str) -> list:
     """Type each value of one --grid axis as --set types that config field."""
     if key not in CONFIG_KEYS:
-        raise SystemExit(f"--grid key '{key}' is not a config field")
+        raise ValidationError(f"--grid key '{key}' is not a config field")
     return [
         getattr(ExperimentConfig.from_flat({CONFIG_KEYS[key]: v.strip()}), key)
         for v in values.split(",")
@@ -189,7 +189,7 @@ def _cmd_grid(args) -> int:
     spec = {}
     for item in args.grid:
         if "=" not in item:
-            raise SystemExit(f"--grid expects KEY=V1,V2,..., got '{item}'")
+            raise ValidationError(f"--grid expects KEY=V1,V2,..., got '{item}'")
         key, values = item.split("=", 1)
         key = key.strip()
         spec[key] = _grid_values(key, values)

@@ -45,16 +45,14 @@ def auc(scores, labels) -> AucResult:
             f"AUC undefined with {n_pos} positives and {n_neg} negatives"
         )
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
     sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average of 1-based ranks i+1 .. j+1 is an exact half-integer
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    # a tie group starts wherever the sorted score changes (NaN != NaN, so
+    # each NaN is a group of its own)
+    starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    ends = np.append(starts[1:], len(s)) - 1
+    ranks = np.empty(len(s), dtype=np.float64)
+    # average of 1-based ranks start+1 .. end+1 is an exact half-integer
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     rank_sum_pos = ranks[np.asarray(y) == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return AucResult(auc=u / (n_pos * n_neg), n_pos=n_pos, n_neg=n_neg)

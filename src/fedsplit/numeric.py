@@ -10,18 +10,20 @@ Contents: dense layers (ReLU / identity), hashed-feature embedding tables,
 numerically safe sigmoid / log-sigmoid, binary cross-entropy on logits,
 Bernoulli KL divergence, and Adam with L2 added to the gradient.
 
-An embedding table with more rows than a batch has indices returns a
-row-sparse gradient (`RowSparseGrad`): the batch's distinct rows and their
-summed gradients, bit-identical to those rows of the dense table. A smaller
-table returns the dense table.
+An embedding table's gradient is always row-sparse (`RowSparseGrad`): the
+batch's distinct rows and their summed gradients, bit-identical to those
+rows of the dense table. Adam takes its one L2 rule from the gradient: a
+row-sparse gradient's own rows receive L2, any other 2-D parameter (a
+dense weight) receives it in full, and a 1-D bias receives none.
 
 Adam updates its moments and the parameters in place through per-optimizer
 work buffers, in the same order of elementwise operations as the textbook
 expression, so its results are bit-identical to that expression while a
-step allocates no full-size temporaries. While a table has had only
-row-sparse gradients, Adam runs over its live rows, those some step has
-touched; every other row has m = v = g = 0, where the update is exactly a
-no-op, so skipping them changes no bit.
+step allocates no full-size temporaries. A table of more than
+DENSE_TABLE_ROWS rows that has had only row-sparse gradients is updated over
+its live rows, those some step has touched; every other row has
+m = v = g = 0, where the update is exactly a no-op, so skipping them changes
+no bit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ PROB_EPS = 1e-7
 RELU = "relu"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, IDENTITY)
+
+# Adam updates an embedding table of at most this many rows in full, and a
+# larger one over its live rows. Only the 24- and 256-bucket desk tables and
+# the 2^16-bucket ID tables have been measured; the value matters because
+# hashed desk codes never cover a 256-bucket table, so coverage alone would
+# keep it on the slower live-row path. 4096 is not a measured crossover.
+DENSE_TABLE_ROWS = 4096
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,24 +235,14 @@ class EmbeddingTable:
             )
         return self.table[idx]
 
-    def row_sparse(self, n_idx: int) -> bool:
-        """Whether a batch of n_idx indices gets a row-sparse gradient: only
-        when the table has more rows than the batch has indices."""
-        return self.buckets > n_idx
-
-    def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> np.ndarray | RowSparseGrad:
-        """Scatter-add of grad_rows at idx: a RowSparseGrad over the distinct
-        indices when row_sparse(len(idx)), else the dense gradient table.
-        Both accumulate each row's terms in the order of idx, so a sparse
-        row is bit-identical to the same row of the dense table."""
-        if self.row_sparse(idx.size):
-            rows, inverse = np.unique(idx, return_inverse=True)
-            values = np.zeros((rows.size, self.table.shape[1]), dtype=grad_rows.dtype)
-            np.add.at(values, inverse, grad_rows)
-            return RowSparseGrad(rows, values, self.table.shape)
-        g = np.zeros(self.table.shape, dtype=grad_rows.dtype)
-        np.add.at(g, idx, grad_rows)
-        return g
+    def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> RowSparseGrad:
+        """Scatter-add of grad_rows at idx, over the distinct indices. Each
+        row accumulates its terms in the order of idx, so it is bit-identical
+        to the same row of the dense gradient table."""
+        rows, inverse = np.unique(idx, return_inverse=True)
+        values = np.zeros((rows.size, self.table.shape[1]), dtype=grad_rows.dtype)
+        np.add.at(values, inverse, grad_rows)
+        return RowSparseGrad(rows, values, self.table.shape)
 
 
 @dataclass(frozen=True)
@@ -341,26 +340,24 @@ class Mlp:
             layer.weight = w
             layer.bias = b
 
-    def weight_names(self) -> set[str]:
-        """Names of parameters subject to L2 decay (weights, not biases)."""
-        return {f"layer{i}.weight" for i in range(len(self.layers))}
-
 
 @dataclass
 class AdamState:
     """Adam with bias correction; L2 is added to the gradient before the
-    moment update (g <- g + l2 * param) for the parameters selected by the
-    caller's decay arguments, and for the rows of each row-sparse gradient.
+    moment update (g <- g + l2 * param): on the rows of a row-sparse
+    gradient, on the whole of any other 2-D parameter, and never on a 1-D
+    bias.
 
     work holds adam_step's two scratch tensors per parameter name that took
     the dense path. Each step rebuilds it from the names it updates, so it
     keeps no buffers for parameters the optimizer no longer sees.
 
-    live maps each table that has received only row-sparse gradients to the
-    sorted rows they touched; every other row of that table still has
-    m = v = 0. Any other parameter maps to None and takes the dense path: a
-    table does so for good once a dense gradient reaches it, its live rows
-    cover it, or it is not C-contiguous.
+    live maps each table of more than DENSE_TABLE_ROWS rows that has
+    received only row-sparse gradients to the sorted rows they touched;
+    every other row of that table still has m = v = 0. Any other parameter
+    maps to None and takes the dense path: a large table does so for good
+    once a dense gradient reaches it, its live rows cover it, or it is not
+    C-contiguous.
     """
 
     lr: float
@@ -378,7 +375,8 @@ class AdamState:
 def _live_rows(state: AdamState, name: str, g, p: np.ndarray) -> np.ndarray | None:
     """Record this step's rows for `name`; return the rows the step must
     update, or None when it takes the dense path."""
-    if not isinstance(g, RowSparseGrad) or not p.flags.c_contiguous:
+    if (not isinstance(g, RowSparseGrad) or p.shape[0] <= DENSE_TABLE_ROWS
+            or not p.flags.c_contiguous):
         state.live[name] = None
         return None
     if name not in state.live:
@@ -400,17 +398,13 @@ def adam_step(
     state: AdamState,
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray | RowSparseGrad],
-    *,
-    decay_full: Iterable[str] = (),
-    decay_rows: Mapping[str, np.ndarray] | None = None,
 ) -> Mapping[str, np.ndarray]:
     """One bias-corrected Adam update, applied to params in place.
 
-    decay_full names parameters whose whole tensor receives L2; decay_rows
-    maps embedding-table names with a dense gradient to the row indices
-    touched by the batch (untouched rows receive no decay). A RowSparseGrad
-    is an embedding table's, and its L2 goes to its own rows. The caller's
-    grads are never written.
+    L2 follows from each gradient: a RowSparseGrad, an embedding table's,
+    adds it on its own rows only (untouched rows receive no decay); any
+    other 2-D gradient, a dense weight's, adds it on the whole tensor; a
+    1-D bias gets none. The caller's grads are never written.
 
     m, v and each parameter are updated in place through the optimizer's
     two work buffers per parameter, so a step allocates no full-size
@@ -422,12 +416,11 @@ def adam_step(
 
     so the results are bit-identical to evaluating that expression on the
     dense gradient. A row with m = v = g = 0 is left exactly as it was
-    (p - (+0.0) = p), so while a table has had only row-sparse gradients
-    the update runs over its live rows alone (see AdamState.live): it
-    gathers them from p, m and v, runs the same sequence, and scatters
-    them back.
+    (p - (+0.0) = p), so while a table of more than DENSE_TABLE_ROWS rows
+    has had only row-sparse gradients the update runs over its live rows
+    alone (see AdamState.live): it gathers them from p, m and v, runs the
+    same sequence, and scatters them back.
     """
-    decay_full = set(decay_full)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -475,16 +468,10 @@ def adam_step(
             if state.l2 > 0.0:
                 w1[g.rows] += state.l2 * p[g.rows]
             g = w1
-        elif state.l2 > 0.0:
-            if name in decay_full:
-                np.multiply(p, state.l2, w1)
-                np.add(g, w1, w1)
-                g = w1
-            elif decay_rows is not None and name in decay_rows:
-                rows = decay_rows[name]
-                np.copyto(w1, g)
-                w1[rows] += state.l2 * p[rows]
-                g = w1
+        elif state.l2 > 0.0 and p.ndim == 2:
+            np.multiply(p, state.l2, w1)
+            np.add(g, w1, w1)
+            g = w1
         _adam_update(state, c1, c2, p, m, v, g, w1, w2)
     state.work = work
     return params

@@ -28,6 +28,7 @@ validation, and its best-snapshot and restore hooks.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -206,20 +207,6 @@ class BottomModel:
                 {k: v.reshape(current[k].shape) for k, v in mlp_map.items()}
             )
 
-    def decay_full(self) -> set[str]:
-        return {f"mlp.{name}" for name in self.mlp.weight_names()}
-
-    def touched_rows(self, cache) -> dict[str, np.ndarray]:
-        """Embedding rows gathered by this batch (the only rows L2 touches),
-        for each table whose gradient is dense; a row-sparse gradient
-        carries its own rows."""
-        block, _ = cache
-        return {
-            f"emb.{name}": np.unique(block.cat[:, j])
-            for kind, name, j, _, _ in self._layout
-            if kind == "cat" and not self.embeddings[name].row_sparse(block.n_rows)
-        }
-
 
 class TopModel:
     """Active-party head: dense stack ending in a single logit."""
@@ -252,9 +239,6 @@ class TopModel:
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         current = self.mlp.params()
         self.mlp.set_params({k: v.reshape(current[k].shape) for k, v in mapping.items()})
-
-    def decay_full(self) -> set[str]:
-        return self.mlp.weight_names()
 
 
 def _prefix(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -308,15 +292,6 @@ class LocalModel:
             self.bottom.set_params(bottom_map)
         if top_map:
             self.top.set_params(top_map)
-
-    def decay_full(self) -> set[str]:
-        return {f"bottom.{n}" for n in self.bottom.decay_full()} | {
-            f"top.{n}" for n in self.top.decay_full()
-        }
-
-    def touched_rows(self, cache) -> dict[str, np.ndarray]:
-        cache_b, _ = cache
-        return {f"bottom.{k}": v for k, v in self.bottom.touched_rows(cache_b).items()}
 
 
 class SplitModel:
@@ -388,7 +363,6 @@ class ActiveParty:
         self.optimizer: AdamState | None = None
         self._ctx = None
         self._cache_a = None
-        self._touched: dict[str, np.ndarray] = {}
 
     # -- single-step protocol operations ------------------------------------
     def recv_hidden(self, block_a: FeatureBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -418,9 +392,6 @@ class ActiveParty:
             MsgType.GRADIENT, payload=np.ascontiguousarray(grad_h_b, dtype=F32)
         )
         grads = self.bottom.backward(self._cache_a, grad_h_a)
-        self._touched = {
-            f"bottom.{k}": v for k, v in self.bottom.touched_rows(self._cache_a).items()
-        }
         self._cache_a = None
         return grads
 
@@ -455,11 +426,7 @@ class ActiveParty:
         if self.optimizer is None:
             raise StateError("no optimizer configured (send a phase first)")
         params = {**_prefix(self.top.params(), "top"), **_prefix(self.bottom.params(), "bottom")}
-        decay_full = {f"top.{n}" for n in self.top.decay_full()} | {
-            f"bottom.{n}" for n in self.bottom.decay_full()
-        }
-        adam_step(self.optimizer, params, grads, decay_full=decay_full,
-                  decay_rows=self._touched)
+        adam_step(self.optimizer, params, grads)
 
     # -- phase / snapshot plumbing -------------------------------------------
     def start_phase(self, settings: TrainSettings, name: str) -> None:
@@ -501,6 +468,13 @@ def _seed_key(text: str) -> list[int]:
     return [_seed(x) for x in text.split(",")]
 
 
+def _tag(text: str) -> str:
+    """A checkpoint tag, which names a file inside the save dir and no other."""
+    if not re.fullmatch(r"(?!\.)[A-Za-z0-9_.-]+", text):
+        raise ValueError("a tag is [A-Za-z0-9_.-]+ and does not start with '.'")
+    return text
+
+
 def _field(meta: dict, name: str, parse: Callable, default: str | None = None):
     """parse(meta[name]); a control frame whose field is missing or does not
     parse is a ProtocolError naming its command and the field."""
@@ -533,7 +507,6 @@ class PassiveParty:
         self.optimizer: AdamState | None = None
         self._ctx = None
         self._sent_shape = None
-        self._touched: dict[str, np.ndarray] = {}
         self._best: dict[str, np.ndarray] | None = None
         self.schema_hash = ""
 
@@ -547,7 +520,6 @@ class PassiveParty:
         if not for_eval:
             self._ctx = cache
             self._sent_shape = payload.shape
-            self._touched = self.bottom.touched_rows(cache)
         return h
 
     def recv_gradient(self) -> dict[str, np.ndarray]:
@@ -565,13 +537,7 @@ class PassiveParty:
     def apply_update(self, grads: Mapping[str, np.ndarray]) -> None:
         if self.optimizer is None:
             raise StateError("no optimizer configured (phase not started)")
-        adam_step(
-            self.optimizer,
-            self.bottom.params(),
-            grads,
-            decay_full=self.bottom.decay_full(),
-            decay_rows=self._touched,
-        )
+        adam_step(self.optimizer, self.bottom.params(), grads)
 
     # -- command handlers ----------------------------------------------------
     def _rows_for(self, meta: dict) -> tuple[FeatureBlock, np.ndarray]:
@@ -631,9 +597,10 @@ class PassiveParty:
             elif cmd == "reinit":
                 self._handle_reinit(msg.meta)
             elif cmd == "save":
+                tag = _field(msg.meta, "tag", _tag, "final")
                 if self.save_dir is not None:
-                    save_passive_checkpoint(self.save_dir, msg.meta.get("tag", "final"),
-                                            self.bottom.params(), self.schema_hash)
+                    save_passive_checkpoint(self.save_dir, tag, self.bottom.params(),
+                                            self.schema_hash)
             else:
                 raise ProtocolError(f"unknown control command '{cmd}'")
 
@@ -874,14 +841,7 @@ def local_train(
         loss, grad = loss_fn(logits, rows)
         if not np.isfinite(loss):
             return None
-        grads = model.backward(cache, grad)
-        adam_step(
-            optimizer,
-            model.params(),
-            grads,
-            decay_full=model.decay_full(),
-            decay_rows=model.touched_rows(cache),
-        )
+        adam_step(optimizer, model.params(), model.backward(cache, grad))
         return loss
 
     def validate(diverged):

@@ -1,13 +1,21 @@
 """Command-line surface: synth, run, grid, eval, pretrain, serve-b."""
 
+import argparse
 import json
 import socket
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from fedsplit import cli as fedsplit_cli
+from fedsplit.data import SyntheticSpec
+from fedsplit.errors import FedSplitError
+from fedsplit.harness import CONFIG_KEYS
 
 BASE_SETS = [
     "--set", "data.n_labeled=600",
@@ -135,6 +143,36 @@ class TestRunCommand:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert 0.0 <= payload["test_auc"] <= 1.0
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("args, named", [
+        (["run", "--set", "hyper.epochs"], "--set"),
+        (["grid", "--grid", "epochs"], "--grid"),
+        (["grid", "--grid", "epoch=1,2"], "'epoch'"),
+    ])
+    def test_malformed_set_or_grid_exits_2_naming_it(self, args, named, capsys):
+        assert fedsplit_cli.main([*args, "--method", "vfl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
+_set_keys = sorted(CONFIG_KEYS.values()) + [f"data.{f.name}" for f in fields(SyntheticSpec)]
+_set_items = st.one_of(
+    st.text(max_size=24),
+    st.builds("{}={}".format, st.sampled_from(_set_keys), st.text(max_size=12)),
+)
+
+
+@given(st.lists(_set_items, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_config_from_arbitrary_set_items_parses_or_raises_typed(items):
+    args = argparse.Namespace(set=items, config=None, seed=None, method=None,
+                              transport=None, out=None)
+    try:
+        fedsplit_cli._config_from(args)
+    except FedSplitError:
+        pass
 
 
 class TestServeB:

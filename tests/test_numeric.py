@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedsplit.errors import NumericError, ShapeError, StateError, ValidationError
 from fedsplit.numeric import (
+    DENSE_TABLE_ROWS,
     AdamState,
     DenseLayer,
     EmbeddingTable,
@@ -153,9 +154,9 @@ class TestAdam:
 
     def test_weight_decay_direction(self):
         state = AdamState(lr=0.1, l2=0.01)
-        params = {"w": np.array([2.0], dtype=F32)}
-        adam_step(state, params, {"w": np.zeros(1, dtype=F32)}, decay_full={"w"})
-        assert params["w"][0] < 2.0
+        params = {"w": np.array([[2.0]], dtype=F32)}
+        adam_step(state, params, {"w": np.zeros((1, 1), dtype=F32)})
+        assert params["w"][0, 0] < 2.0
 
     def test_decay_skips_unlisted_params(self):
         state = AdamState(lr=0.1, l2=0.01)
@@ -163,15 +164,23 @@ class TestAdam:
         adam_step(state, params, {"b": np.zeros(1, dtype=F32)})
         np.testing.assert_array_equal(params["b"], [2.0])
 
-    def test_decay_rows_only_touch_listed_rows(self):
+    def test_bias_gets_no_decay_and_a_dense_matrix_gets_it_in_full(self):
         state = AdamState(lr=0.1, l2=0.01)
-        table = np.ones((4, 2), dtype=F32)
-        params = {"emb": table}
-        grads = {"emb": np.zeros((4, 2), dtype=F32)}
-        adam_step(state, params, grads, decay_rows={"emb": np.array([1, 3])})
+        params = {"b": np.full(3, 2.0, dtype=F32), "w": np.full((3, 2), 2.0, dtype=F32)}
+        adam_step(state, params, {k: np.zeros_like(p) for k, p in params.items()})
+        np.testing.assert_array_equal(params["b"], [2.0, 2.0, 2.0])
+        assert np.all(params["w"] < 2.0)
+
+    @pytest.mark.parametrize("buckets", [4, DENSE_TABLE_ROWS + 4])
+    def test_row_sparse_decay_only_touches_its_rows(self, buckets):
+        state = AdamState(lr=0.1, l2=0.01)
+        table = np.ones((buckets, 2), dtype=F32)
+        g = RowSparseGrad(np.array([1, 3]), np.zeros((2, 2), dtype=F32), table.shape)
+        adam_step(state, {"emb": table}, {"emb": g})
         np.testing.assert_array_equal(table[0], [1.0, 1.0])
         np.testing.assert_array_equal(table[2], [1.0, 1.0])
         assert np.all(table[1] < 1.0) and np.all(table[3] < 1.0)
+        assert np.all(table[4:] == 1.0)
 
     def test_non_finite_gradient_names_parameter(self):
         state = AdamState(lr=0.1)
@@ -215,29 +224,29 @@ class TestAdam:
             params = {"w": rng.normal(size=(8, 4)).astype(F32)}
             for step in range(25):
                 g = {"w": rng.normal(size=(8, 4)).astype(F32)}
-                adam_step(state, params, g, decay_full={"w"})
+                adam_step(state, params, g)
             return params["w"].tobytes()
 
         assert one_run() == one_run()
 
 
-def reference_adam_step(state, params, grads, *, decay_full=(), decay_rows=None):
+def reference_adam_step(state, params, grads):
     """The allocating textbook form of adam_step, kept as the oracle that the
-    in-place implementation must match bit for bit."""
-    decay_full = set(decay_full)
+    in-place implementation must match bit for bit. L2 goes to the rows of
+    a row-sparse gradient, to the whole of any other 2-D parameter, and to
+    no 1-D parameter."""
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
         g = grads[name]
-        if state.l2 > 0.0:
-            if name in decay_full:
-                g = g + state.l2 * p
-            elif decay_rows is not None and name in decay_rows:
-                rows = decay_rows[name]
-                g = g.copy()
+        if isinstance(g, RowSparseGrad):
+            rows, g = g.rows, g.dense()
+            if state.l2 > 0.0:
                 g[rows] += state.l2 * p[rows]
+        elif state.l2 > 0.0 and p.ndim == 2:
+            g = g + state.l2 * p
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
         m[...] = state.beta1 * m + (1.0 - state.beta1) * g
@@ -252,6 +261,8 @@ class TestAdamMatchesReference:
     @pytest.mark.parametrize("dtype", [F32, F64])
     @pytest.mark.parametrize("decay", ["none", "full", "rows"])
     def test_bit_identical_over_many_steps(self, decay, dtype):
+        # "full": every 2-D gradient is dense, so w and emb get L2 in full;
+        # "rows": emb's gradient is row-sparse, so only its rows get L2
         rng = np.random.default_rng(5)
         shapes = {"w": (6, 4), "b": (4,), "emb": (16, 3)}
         start = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
@@ -259,34 +270,37 @@ class TestAdamMatchesReference:
         ours, ref = AdamState(**kwargs), AdamState(**kwargs)
         p_ours = {k: a.copy() for k, a in start.items()}
         p_ref = {k: a.copy() for k, a in start.items()}
+
+        def raw(g):
+            return g.values.tobytes() if isinstance(g, RowSparseGrad) else g.tobytes()
+
         for step in range(30):
             grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-            before = {k: g.tobytes() for k, g in grads.items()}
-            decay_args = {}
-            if decay == "full":
-                decay_args["decay_full"] = {"w"}
-            elif decay == "rows":
+            if decay == "rows":
                 # repeated rows, as a batch that hits one bucket twice gives
-                decay_args["decay_rows"] = {"emb": rng.integers(0, 16, size=7)}
+                grads["emb"] = EmbeddingTable(table=p_ours["emb"]).grad(
+                    rng.integers(0, 16, size=7), rng.normal(size=(7, 3)).astype(dtype))
+            before = {k: raw(g) for k, g in grads.items()}
             if step == 12:
                 # restore-best and set_params rebind a name to a new array
                 fresh = rng.normal(size=shapes["w"]).astype(dtype)
                 p_ours["w"], p_ref["w"] = fresh.copy(), fresh.copy()
-            adam_step(ours, p_ours, grads, **decay_args)
-            reference_adam_step(ref, p_ref, grads, **decay_args)
-            assert {k: g.tobytes() for k, g in grads.items()} == before
+            adam_step(ours, p_ours, grads)
+            reference_adam_step(ref, p_ref, grads)
+            assert {k: raw(g) for k, g in grads.items()} == before
             for name in shapes:
                 assert p_ours[name].dtype == dtype
                 assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
 
-    # batch sizes per step over a 64-row table: under 64 indices the table's
-    # gradient is row-sparse, at 64 or more it is dense
+    # per step, a 6-index batch's row-sparse gradient ("s") or the same
+    # gradient as a dense table ("d"), over a table above DENSE_TABLE_ROWS
+    # rows, whose row-sparse steps take the live-row path until a dense one
     SCHEDULES = {
-        "row-sparse": [6] * 30,
-        "dense-step-between-sparse": [6] * 10 + [80] + [6] * 19,
-        "short-sparse-between-dense": [80] * 10 + [6] + [80] * 19,
+        "row-sparse": "s" * 30,
+        "dense-step-between-sparse": "s" * 10 + "d" + "s" * 19,
+        "short-sparse-between-dense": "d" * 10 + "s" + "d" * 19,
     }
 
     @pytest.mark.parametrize("dtype", [F32, F64])
@@ -295,40 +309,63 @@ class TestAdamMatchesReference:
     def test_row_sparse_steps_match_the_reference_on_the_dense_gradient(
             self, schedule, l2, dtype):
         rng = np.random.default_rng(9)
-        shape = (64, 3)
+        shape = (DENSE_TABLE_ROWS + 64, 3)
         start = {"emb": rng.normal(size=shape).astype(dtype),
                  "w": rng.normal(size=(4, 2)).astype(dtype)}
         ours, ref = AdamState(lr=3e-2, l2=l2), AdamState(lr=3e-2, l2=l2)
         p_ours = {k: a.copy() for k, a in start.items()}
         p_ref = {k: a.copy() for k, a in start.items()}
-        sparse_steps = 0
-        for step, n in enumerate(self.SCHEDULES[schedule]):
-            idx = rng.zipf(1.5, size=n) % shape[0]  # repeated rows
-            rows = rng.normal(size=(n, shape[1])).astype(dtype)
+        live_steps = 0
+        for step, kind in enumerate(self.SCHEDULES[schedule]):
+            idx = rng.zipf(1.5, size=6) % shape[0]  # repeated rows
+            rows = rng.normal(size=(6, shape[1])).astype(dtype)
             g = EmbeddingTable(table=p_ours["emb"]).grad(idx, rows)
-            sparse_steps += isinstance(g, RowSparseGrad)
-            dense = g.dense() if isinstance(g, RowSparseGrad) else g
+            if kind == "d":
+                g = g.dense()
             w_grad = rng.normal(size=(4, 2)).astype(dtype)
             if step == 12:
                 # restore-best and set_params rebind a name to a new array
                 fresh = rng.normal(size=shape).astype(dtype)
                 p_ours["emb"], p_ref["emb"] = fresh.copy(), fresh.copy()
-            decay = {"emb": np.unique(idx)}
-            # a row-sparse gradient takes its L2 rows from itself
-            adam_step(ours, p_ours, {"emb": g, "w": w_grad}, decay_full={"w"},
-                      decay_rows={} if isinstance(g, RowSparseGrad) else decay)
-            reference_adam_step(ref, p_ref, {"emb": dense, "w": w_grad},
-                                decay_full={"w"}, decay_rows=decay)
+            adam_step(ours, p_ours, {"emb": g, "w": w_grad})
+            reference_adam_step(ref, p_ref, {"emb": g, "w": w_grad})
+            live_steps += ours.live["emb"] is not None
             for name in start:
                 assert p_ours[name].dtype == dtype
                 assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
-        assert sparse_steps >= 1
+        # the live-row path runs until the first dense step
+        kinds = self.SCHEDULES[schedule]
+        assert live_steps == (kinds.index("d") if "d" in kinds else len(kinds))
+
+    @pytest.mark.parametrize("buckets", [DENSE_TABLE_ROWS, DENSE_TABLE_ROWS + 1])
+    def test_tables_at_and_above_the_threshold_match_the_reference(self, buckets):
+        # at the threshold every step is dense; above it the row-sparse steps
+        # run over the live rows until the dense step, and densely after it
+        rng = np.random.default_rng(13)
+        start = rng.normal(size=(buckets, 2)).astype(F32)
+        ours, ref = AdamState(lr=3e-2, l2=1e-2), AdamState(lr=3e-2, l2=1e-2)
+        p_ours, p_ref = {"emb": start.copy()}, {"emb": start.copy()}
+        live = []
+        for step in range(12):
+            idx = rng.zipf(1.5, size=40) % buckets
+            g = EmbeddingTable(table=p_ours["emb"]).grad(
+                idx, rng.normal(size=(40, 2)).astype(F32))
+            if step == 6:
+                g = g.dense()
+            adam_step(ours, p_ours, {"emb": g})
+            reference_adam_step(ref, p_ref, {"emb": g})
+            live.append(ours.live["emb"] is not None)
+            assert p_ours["emb"].tobytes() == p_ref["emb"].tobytes(), step
+            assert ours.m["emb"].tobytes() == ref.m["emb"].tobytes(), step
+            assert ours.v["emb"].tobytes() == ref.v["emb"].tobytes(), step
+        assert live == [buckets > DENSE_TABLE_ROWS] * 6 + [False] * 6
 
     def test_live_rows_stay_row_sparse_until_a_dense_step(self):
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(table=rng.normal(size=(100, 2)).astype(F32))
+        n = DENSE_TABLE_ROWS + 100
+        table = EmbeddingTable(table=rng.normal(size=(n, 2)).astype(F32))
         state = AdamState(lr=1e-2)
         for idx in ([5, 7, 5], [7, 9]):
             idx = np.array(idx)
@@ -336,15 +373,16 @@ class TestAdamMatchesReference:
                       {"emb": table.grad(idx, np.ones((idx.size, 2), dtype=F32))})
         np.testing.assert_array_equal(state.live["emb"], [5, 7, 9])
         assert "emb" not in state.work
-        adam_step(state, {"emb": table.table}, {"emb": np.ones((100, 2), dtype=F32)})
+        adam_step(state, {"emb": table.table}, {"emb": np.ones((n, 2), dtype=F32)})
         assert state.live["emb"] is None and "emb" in state.work
 
     def test_live_rows_that_cover_the_table_switch_it_to_the_dense_path(self):
-        table = EmbeddingTable(table=np.ones((10, 2), dtype=F32))
+        n = DENSE_TABLE_ROWS + 1
+        table = EmbeddingTable(table=np.ones((n, 2), dtype=F32))
         state = AdamState(lr=1e-2)
-        for idx in (np.arange(9), np.arange(1, 10)):
+        for idx in (np.arange(n - 1), np.arange(1, n)):
             adam_step(state, {"emb": table.table},
-                      {"emb": table.grad(idx, np.ones((9, 2), dtype=F32))})
+                      {"emb": table.grad(idx, np.ones((n - 1, 2), dtype=F32))})
         assert state.live["emb"] is None
         assert np.all(table.table < 1.0)
 
@@ -367,12 +405,11 @@ class TestAdamMatchesReference:
         table = rng.normal(size=(1 << 16, 8)).astype(F32)
         params = {"emb": table}
         grads = {"emb": rng.normal(size=table.shape).astype(F32)}
-        rows = {"emb": rng.integers(0, table.shape[0], size=512)}
         state = AdamState(lr=1e-3, l2=1e-4)
-        adam_step(state, params, grads, decay_rows=rows)
+        adam_step(state, params, grads)
         tracemalloc.start()
         try:
-            adam_step(state, params, grads, decay_rows=rows)
+            adam_step(state, params, grads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -476,7 +513,7 @@ class TestEmbeddingTable:
             table.lookup(np.array([5]))
 
     def test_grad_scatter_adds_duplicates(self):
-        # 4 buckets and 3 indices: the gradient is row-sparse
+        # every table's gradient is row-sparse, however small the table
         table = EmbeddingTable.create(4, 2, np.random.default_rng(0))
         idx = np.array([1, 1, 2])
         grad_rows = np.ones((3, 2), dtype=F32)
@@ -490,14 +527,16 @@ class TestEmbeddingTable:
         np.testing.assert_array_equal(dense[3], [0.0, 0.0])
         assert g.nbytes == g.rows.nbytes + g.values.nbytes
 
+    # one path for every table, on both sides of Adam's DENSE_TABLE_ROWS
+    @pytest.mark.parametrize("buckets", [1000, DENSE_TABLE_ROWS + 1000])
     @pytest.mark.parametrize("dtype", [F32, F64])
-    def test_row_sparse_rows_are_bit_identical_to_the_dense_scatter_add(self, dtype):
+    def test_row_sparse_rows_are_bit_identical_to_the_dense_scatter_add(self, dtype, buckets):
         rng = np.random.default_rng(6)
-        table = EmbeddingTable(table=rng.normal(size=(1000, 5)).astype(F32))
-        idx = rng.zipf(1.3, size=200) % 1000  # heavy repeats, as hashed IDs give
+        table = EmbeddingTable(table=rng.normal(size=(buckets, 5)).astype(F32))
+        idx = rng.zipf(1.3, size=200) % buckets  # heavy repeats, as hashed IDs give
         grad_rows = rng.normal(size=(200, 5)).astype(dtype)
         g = table.grad(idx, grad_rows)
-        dense = np.zeros((1000, 5), dtype=dtype)
+        dense = np.zeros((buckets, 5), dtype=dtype)
         np.add.at(dense, idx, grad_rows)
         assert g.values.dtype == dtype
         np.testing.assert_array_equal(g.rows, np.unique(idx))

@@ -103,11 +103,8 @@ def monolith_update(split, settings, g_top, g_ba, g_bb):
                 **{f"bottom.{k}": v for k, v in split.bottom_a.params().items()}}
     grads_a = {**{f"top.{k}": v for k, v in g_top.items()},
                **{f"bottom.{k}": v for k, v in g_ba.items()}}
-    decay_a = {f"top.{k}" for k in split.top.decay_full()} | {
-        f"bottom.{k}" for k in split.bottom_a.decay_full()}
-    adam_step(settings.adam(), params_a, grads_a, decay_full=decay_a)
-    adam_step(settings.adam(), split.bottom_b.params(), g_bb,
-              decay_full=split.bottom_b.decay_full())
+    adam_step(settings.adam(), params_a, grads_a)
+    adam_step(settings.adam(), split.bottom_b.params(), g_bb)
 
 
 def assert_params_match(active, passive, split, atol=1e-6):
@@ -499,25 +496,20 @@ class TestModelContainers:
         assert h.shape == (2, 6)
         grads = bottom.backward(cache, np.ones_like(h))
         assert set(grads) == {"emb.cat1", "emb.cat2", "mlp.layer0.weight", "mlp.layer0.bias"}
-        # both tables have more buckets than the batch has rows, so each
-        # gradient is row-sparse and carries the touched rows itself
-        assert bottom.touched_rows(cache) == {}
+        # each table's gradient is row-sparse and carries the touched rows
         np.testing.assert_array_equal(grads["emb.cat1"].rows, [1, 6])
         np.testing.assert_array_equal(grads["emb.cat2"].rows, [0, 4])
         untouched = np.setdiff1d(np.arange(7), [1, 6])
         assert np.all(grads["emb.cat1"].dense()[untouched] == 0.0)
 
-        # five rows: cat2's five buckets now get a dense table, cat1 stays sparse
+        # a batch as long as cat2's table is row-sparse there too
         block5 = FeatureBlock(
             cat=np.array([[1, 4], [6, 0], [1, 0], [2, 3], [2, 4]], dtype=np.int64),
             num=np.zeros((5, 1), dtype=F32),
         )
         h5, cache5 = bottom.forward(block5)
         grads5 = bottom.backward(cache5, np.ones_like(h5))
-        touched = bottom.touched_rows(cache5)
-        assert set(touched) == {"emb.cat2"}
-        np.testing.assert_array_equal(touched["emb.cat2"], [0, 3, 4])
-        assert isinstance(grads5["emb.cat2"], np.ndarray)
+        np.testing.assert_array_equal(grads5["emb.cat2"].rows, [0, 3, 4])
         np.testing.assert_array_equal(grads5["emb.cat1"].rows, [1, 2, 6])
 
     def test_grad_check_of_a_model_with_row_sparse_embedding_gradients(self):
@@ -567,8 +559,7 @@ class TestModelContainers:
             tracemalloc.start()
             try:
                 grads = bottom.backward(cache, grad_h)
-                adam_step(state, bottom.params(), grads, decay_full=bottom.decay_full(),
-                          decay_rows=bottom.touched_rows(cache))
+                adam_step(state, bottom.params(), grads)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -608,6 +599,25 @@ class TestControlFrames:
         chan_a.send_new(MsgType.BYE)
         with pytest.raises(ProtocolError, match=f"'{cmd}'.*'{field}'"):
             passive.serve()
+
+    @pytest.mark.parametrize("tag", ["x/y", "../x", ".x"])
+    def test_save_refuses_a_tag_that_is_not_a_plain_file_name(self, tag, tmp_path):
+        chan_a, passive = control_passive()
+        passive.save_dir = tmp_path / "run"
+        (passive.save_dir / "party_b_..").mkdir(parents=True)  # where "../x" would land
+        chan_a.send_new(MsgType.CONTROL, meta={"cmd": "save", "tag": tag})
+        chan_a.send_new(MsgType.BYE)
+        with pytest.raises(ProtocolError, match="'save'.*'tag'"):
+            passive.serve()
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_save_writes_a_plain_tag_inside_the_save_dir(self, tmp_path):
+        chan_a, passive = control_passive()
+        passive.save_dir = tmp_path
+        chan_a.send_new(MsgType.CONTROL, meta={"cmd": "save", "tag": "vfl-mpd_ft.2"})
+        chan_a.send_new(MsgType.BYE)
+        passive.serve()
+        assert [p.name for p in tmp_path.iterdir()] == ["party_b_vfl-mpd_ft.2.ckpt"]
 
     def test_an_unknown_subset_is_refused_before_any_frame_is_sent(self):
         dataset = synth_federated(
