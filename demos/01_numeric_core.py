@@ -20,7 +20,7 @@ from fedsplit.numeric import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for tests/oracles.py
-from oracles import grad_check  # noqa: E402
+from oracles import dense_grad, grad_check  # noqa: E402
 
 rng = np.random.default_rng(0)
 
@@ -88,6 +88,6 @@ rows = table.lookup(idx)
 g = table.grad(idx, np.ones_like(rows))
 # every table's gradient is row-sparse: the batch's distinct rows, and the
 # summed gradient of each
-dense = g.dense()
+dense = dense_grad(g)
 print("\nembedding grad over rows", g.rows, "accumulates duplicates: row 3 got",
       dense[3][0], ", row 7 got", dense[7][0], ", row 0 got", dense[0][0])

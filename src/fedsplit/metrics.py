@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MetricUndefinedError, ValidationError
+from .errors import MetricUndefinedError, NumericError, ValidationError
 
 IMPROVEMENT_EPS = 1e-5
 
@@ -28,7 +28,8 @@ class AucResult:
 def auc(scores, labels) -> AucResult:
     """Area under the ROC curve via average ranks; ties get half credit.
 
-    Labels must be 0/1 with at least one of each class. Rank sums are exact
+    Labels must be 0/1 with at least one of each class. A NaN score has no
+    rank, so it is refused with a NumericError. Rank sums are exact
     half-integers, so the result matches brute-force pair counting bit for
     bit.
     """
@@ -36,6 +37,9 @@ def auc(scores, labels) -> AucResult:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValidationError(f"scores {s.shape} and labels {y.shape} must be equal 1-D")
+    n_nan = int(np.isnan(s).sum())
+    if n_nan:
+        raise NumericError(f"{n_nan} of {len(s)} scores are NaN")
     if not np.all(np.isin(y, (0, 1))):
         raise ValidationError("labels must be 0 or 1")
     n_pos = int((y == 1).sum())
@@ -46,8 +50,7 @@ def auc(scores, labels) -> AucResult:
         )
     order = np.argsort(s, kind="mergesort")
     sorted_scores = s[order]
-    # a tie group starts wherever the sorted score changes (NaN != NaN, so
-    # each NaN is a group of its own)
+    # a tie group starts wherever the sorted score changes
     starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
     ends = np.append(starts[1:], len(s)) - 1
     ranks = np.empty(len(s), dtype=np.float64)

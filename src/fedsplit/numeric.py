@@ -16,9 +16,13 @@ rows of the dense table. Adam takes its one L2 rule from the gradient: a
 row-sparse gradient's own rows receive L2, any other 2-D parameter (a
 dense weight) receives it in full, and a 1-D bias receives none.
 
-Adam updates its moments and the parameters in place through per-optimizer
-work buffers, in the same order of elementwise operations as the textbook
-expression, so its results are bit-identical to that expression while a
+Adam screens every gradient before anything moves, so a refused step
+leaves the optimizer and the parameters as they were. It keeps the moments
+of a party's parameters in one flat buffer each and runs its elementwise
+sequence once over them, with one subtraction per parameter at the end
+(the multi-tensor "foreach" form of torch.optim.Adam). The order of
+operations per element is that of the textbook expression, so its results
+are bit-identical to that expression evaluated tensor by tensor, while a
 step allocates no full-size temporaries. A table of more than
 DENSE_TABLE_ROWS rows that has had only row-sparse gradients is updated over
 its live rows, those some step has touched; every other row has
@@ -240,8 +244,12 @@ class EmbeddingTable:
         row accumulates its terms in the order of idx, so it is bit-identical
         to the same row of the dense gradient table."""
         rows, inverse = np.unique(idx, return_inverse=True)
-        values = np.zeros((rows.size, self.table.shape[1]), dtype=grad_rows.dtype)
-        np.add.at(values, inverse, grad_rows)
+        dim = self.table.shape[1]
+        values = np.zeros((rows.size, dim), dtype=grad_rows.dtype)
+        # one index per element: ufunc.at on a 1-D target is about three
+        # times as fast, and adds each element's terms in the same order
+        flat_idx = (inverse[:, None] * dim + np.arange(dim)).reshape(-1)
+        np.add.at(values.reshape(-1), flat_idx, np.asarray(grad_rows).reshape(-1))
         return RowSparseGrad(rows, values, self.table.shape)
 
 
@@ -260,14 +268,6 @@ class RowSparseGrad:
     @property
     def nbytes(self) -> int:
         return self.rows.nbytes + self.values.nbytes
-
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The full gradient table, written into `out` when it is given."""
-        if out is None:
-            out = np.empty(self.shape, dtype=self.values.dtype)
-        out.fill(0)
-        out[self.rows] = self.values
-        return out
 
 
 class Mlp:
@@ -348,9 +348,12 @@ class AdamState:
     gradient, on the whole of any other 2-D parameter, and never on a 1-D
     bias.
 
-    work holds adam_step's two scratch tensors per parameter name that took
-    the dense path. Each step rebuilds it from the names it updates, so it
-    keeps no buffers for parameters the optimizer no longer sees.
+    m and v map each parameter name to its moments. Those of the parameters
+    that take the dense path are views into one flat buffer each, laid out
+    in `layout` together with adam_step's two flat work buffers. A step lays
+    them out again, carrying m and v over, when its (name, shape, dtype)
+    list of dense-path parameters differs from the last one; a name that
+    leaves the list keeps its moments in the buffers it left.
 
     live maps each table of more than DENSE_TABLE_ROWS rows that has
     received only row-sparse gradients to the sorted rows they touched;
@@ -368,8 +371,41 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    work: dict = field(default_factory=dict, repr=False)
+    layout: FlatLayout | None = field(default=None, repr=False)
     live: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass
+class FlatLayout:
+    """The flat m, v and work buffers of the dense-path parameters, and each
+    parameter's view of the first work buffer, in the order of `key`."""
+
+    key: tuple  # ((name, shape, dtype), ...)
+    m: np.ndarray
+    v: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    grads: list
+
+
+def _lay_out(state: AdamState, key: tuple) -> FlatLayout:
+    """Flat buffers for `key`, with each name's m and v carried over into
+    them (zero for a name that has none)."""
+    total = sum(math.prod(shape) for _, shape, _ in key)
+    dtype = key[0][2]
+    m, v, w1, w2 = (np.zeros(total, dtype) for _ in range(4))
+    grads = []
+    start = 0
+    for name, shape, _ in key:
+        span = slice(start, start + math.prod(shape))
+        for moments, flat in ((state.m, m), (state.v, v)):
+            view = flat[span].reshape(shape)
+            if name in moments:
+                view[...] = moments[name]
+            moments[name] = view
+        grads.append(w1[span].reshape(shape))
+        start = span.stop
+    return FlatLayout(key, m, v, w1, w2, grads)
 
 
 def _live_rows(state: AdamState, name: str, g, p: np.ndarray) -> np.ndarray | None:
@@ -394,6 +430,31 @@ def _live_rows(state: AdamState, name: str, g, p: np.ndarray) -> np.ndarray | No
     return live
 
 
+def _screen(params: Mapping[str, np.ndarray], grads: Mapping) -> None:
+    """Refuse a step whose gradients do not match their params in shape and
+    dtype, whose params do not share one dtype, or that holds a non-finite
+    element."""
+    dtype = None
+    # g·g is finite when every element is, and needs no mask; only when it
+    # is not (a NaN, an inf, or a finite g whose squares overflow) does the
+    # exact elementwise check decide
+    with np.errstate(over="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ShapeError(
+                    f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+            f = g.values if isinstance(g, RowSparseGrad) else g
+            if dtype is None:
+                dtype = p.dtype
+            if f.dtype != p.dtype or p.dtype != dtype:
+                raise ShapeError(f"'{name}' has a {f.dtype} gradient for a {p.dtype} param; "
+                                 f"every gradient and param of a step must be {dtype}")
+            f = f.ravel()
+            if not math.isfinite(np.dot(f, f)) and not np.all(np.isfinite(f)):
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
+
+
 def adam_step(
     state: AdamState,
     params: Mapping[str, np.ndarray],
@@ -406,75 +467,81 @@ def adam_step(
     other 2-D gradient, a dense weight's, adds it on the whole tensor; a
     1-D bias gets none. The caller's grads are never written.
 
-    m, v and each parameter are updated in place through the optimizer's
-    two work buffers per parameter, so a step allocates no full-size
-    temporaries. Every elementwise operation runs in the same order as the
-    textbook form
+    Every gradient is screened first: a shape or dtype that does not match
+    its parameter, or a non-finite element, refuses the step before the
+    step count, a moment or a parameter has moved. The parameters must
+    share one dtype.
+
+    The step then writes each dense-path parameter's effective gradient into
+    its view of the flat work buffer, runs the moment and delta update once
+    over the flat buffers, and subtracts each parameter's delta view from it.
+    Every elementwise operation runs in the same order as the textbook form
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
 
     so the results are bit-identical to evaluating that expression on the
-    dense gradient. A row with m = v = g = 0 is left exactly as it was
+    dense gradient, tensor by tensor, and a step allocates no full-size
+    temporaries. A row with m = v = g = 0 is left exactly as it was
     (p - (+0.0) = p), so while a table of more than DENSE_TABLE_ROWS rows
     has had only row-sparse gradients the update runs over its live rows
     alone (see AdamState.live): it gathers them from p, m and v, runs the
     same sequence, and scatters them back.
     """
+    _screen(params, grads)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    work = {}
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    dense = []
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        sparse = isinstance(g, RowSparseGrad)
-        # g·g is finite when every element is, and needs no mask; only when
-        # it is not (a NaN, an inf, or a finite g whose squares overflow)
-        # does the exact elementwise check decide
-        f = (g.values if sparse else g).ravel()
-        with np.errstate(over="ignore"):
-            screen = np.dot(f, f)
-        if not np.isfinite(screen) and not np.all(np.isfinite(f)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
         live = _live_rows(state, name, g, p)
-        if live is not None:
-            w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
-            pos = np.searchsorted(live, g.rows)
-            w1[pos] = g.values
-            if state.l2 > 0.0:
-                w1[pos] += state.l2 * p[g.rows]
-            gathered = [np.take(a, live, axis=0) for a in (p, m, v)]
-            _adam_update(state, c1, c2, *gathered, w1, w1, np.empty_like(w1))
-            for a, a_live in zip((p, m, v), gathered):
-                np.put(_row_items(a), live, _row_items(a_live))
+        if live is None:
+            dense.append((name, p, g))
             continue
-        pair = state.work.get(name)
-        if pair is None or pair[0].shape != p.shape or pair[0].dtype != p.dtype:
-            pair = (np.empty_like(p), np.empty_like(p))
-        work[name] = pair
-        w1, w2 = pair
-        if sparse:
-            g.dense(out=w1)
-            if state.l2 > 0.0:
-                w1[g.rows] += state.l2 * p[g.rows]
-            g = w1
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
+        w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
+        gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
+        p_live, m_live, v_live = gathered
+        _adam_update(state, c1, c2, m_live, v_live, w1, np.empty_like(w1))
+        np.subtract(p_live, w1, p_live)
+        for a, a_live in zip((p, state.m[name], state.v[name]), gathered):
+            np.put(_row_items(a), live, _row_items(a_live))
+    if not dense:
+        return params
+
+    key = tuple((name, p.shape, p.dtype) for name, p, _ in dense)
+    if state.layout is None or state.layout.key != key:
+        state.layout = _lay_out(state, key)
+    flat = state.layout
+    for (_, p, g), w1 in zip(dense, flat.grads):
+        if isinstance(g, RowSparseGrad):
+            w1.fill(0)
+            np.put(_row_items(w1), g.rows, _row_items(_row_values(state, p, g)))
         elif state.l2 > 0.0 and p.ndim == 2:
             np.multiply(p, state.l2, w1)
             np.add(g, w1, w1)
-            g = w1
-        _adam_update(state, c1, c2, p, m, v, g, w1, w2)
-    state.work = work
+        else:
+            np.copyto(w1, g)
+    _adam_update(state, c1, c2, flat.m, flat.v, flat.w1, flat.w2)
+    for (_, p, _), delta in zip(dense, flat.grads):
+        np.subtract(p, delta, p)
     return params
+
+
+def _row_values(state: AdamState, p: np.ndarray, g: RowSparseGrad) -> np.ndarray:
+    """The effective gradient on g's rows: g.values + l2 * p[g.rows],
+    C-contiguous."""
+    if state.l2 <= 0.0:
+        return np.ascontiguousarray(g.values)
+    out = np.take(p, g.rows, axis=0)
+    np.multiply(out, state.l2, out)
+    np.add(g.values, out, out)
+    return out
 
 
 def _row_items(a: np.ndarray) -> np.ndarray:
@@ -484,9 +551,11 @@ def _row_items(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
 
 
-def _adam_update(state: AdamState, c1: float, c2: float, p, m, v, g, w1, w2) -> None:
-    """The moment and parameter update of adam_step, in place; w1 may hold g."""
+def _adam_update(state: AdamState, c1: float, c2: float, m, v, w1, w2) -> None:
+    """The moment update of adam_step, in place, from the gradient g in w1;
+    it leaves the parameter delta lr * (m/c1) / (sqrt(v/c2) + eps) in w1."""
     b1, b2 = state.beta1, state.beta2
+    g = w1
     np.multiply(m, b1, m)
     np.multiply(g, 1.0 - b1, w2)
     np.add(m, w2, m)
@@ -494,11 +563,10 @@ def _adam_update(state: AdamState, c1: float, c2: float, p, m, v, g, w1, w2) -> 
     np.multiply(w2, 1.0 - b2, w2)
     np.multiply(v, b2, v)
     np.add(v, w2, v)
-    # g is dead from here on, so w1 may be reused even when it holds g
+    # g is dead from here on, so w1 takes the delta
     np.divide(m, c1, w1)
     np.divide(v, c2, w2)
     np.sqrt(w2, w2)
     np.add(w2, state.eps, w2)
     np.multiply(w1, state.lr, w1)
     np.divide(w1, w2, w1)
-    np.subtract(p, w1, p)

@@ -44,6 +44,7 @@ from .numeric import (
     AdamState,
     EmbeddingTable,
     Mlp,
+    RowSparseGrad,
     adam_step,
     bce_loss,
     sigmoid,
@@ -121,14 +122,77 @@ class TrainSettings:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _EmbedGroup:
+    """The categorical fields of one embed dim. Their tables are row ranges
+    of one block, in field order, starting at `offsets` (whose last entry
+    is the block's length)."""
+
+    block: EmbeddingTable
+    dim: int
+    names: tuple[str, ...]
+    cat_cols: slice | np.ndarray  # the fields' columns of FeatureBlock.cat
+    x_cols: slice | np.ndarray  # their columns of the bottom's input
+    buckets: np.ndarray  # (k,)
+    offsets: np.ndarray  # (k + 1,)
+
+
+def _columns(cols: list[int]) -> slice | np.ndarray:
+    """The columns as a slice when they are one run, else as an index array."""
+    if cols and cols == list(range(cols[0], cols[-1] + 1)):
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols, dtype=np.intp)
+
+
 class BottomModel:
-    """Per-party feature encoder: hashed embeddings feeding a dense stack."""
+    """Per-party feature encoder: hashed embeddings feeding a dense stack.
+
+    The categorical tables of each embed dim are row ranges of one block
+    (`_EmbedGroup`), so a batch costs one lookup and one gradient per embed
+    dim, not one per field. `embeddings[name].table` is that field's view
+    of its block; parameter names, checkpoints and values are those of
+    separate tables. set_params copies into the views; a value of another
+    dtype (the float64 shadow of `tests/oracles.grad_check`) first lays its
+    group out again in that dtype.
+    """
 
     def __init__(self, schema: PartySchema, embeddings: dict[str, EmbeddingTable], mlp: Mlp):
         self.schema = schema
         self.embeddings = embeddings
         self.mlp = mlp
-        self._layout = self._build_layout()
+        by_dim: dict[int, list] = {}
+        num_cols = []
+        col = cat_j = 0
+        for f in schema.fields:
+            if f.kind == "categorical":
+                by_dim.setdefault(f.embed_dim, []).append((f.name, cat_j, col))
+                col += f.embed_dim
+                cat_j += 1
+            else:
+                num_cols.append(col)
+                col += 1
+        self._width = col
+        self._num_cols = _columns(num_cols)
+        self._n_num = len(num_cols)
+        self._groups = []
+        for dim, members in by_dim.items():
+            names = tuple(name for name, _, _ in members)
+            buckets = np.array([embeddings[name].buckets for name in names])
+            group = _EmbedGroup(
+                block=EmbeddingTable(np.concatenate([embeddings[n].table for n in names])),
+                dim=dim,
+                names=names,
+                cat_cols=_columns([j for _, j, _ in members]),
+                x_cols=_columns([c + d for _, _, c in members for d in range(dim)]),
+                buckets=buckets,
+                offsets=np.concatenate(([0], np.cumsum(buckets))),
+            )
+            self._bind(group)
+            self._groups.append(group)
+
+    def _bind(self, group: _EmbedGroup) -> None:
+        for name, lo, hi in zip(group.names, group.offsets, group.offsets[1:]):
+            self.embeddings[name].table = group.block.table[lo:hi]
 
     @classmethod
     def create(cls, schema: PartySchema, widths, rng: np.random.Generator) -> "BottomModel":
@@ -138,50 +202,56 @@ class BottomModel:
         }
         return cls(schema, embeddings, Mlp.create(schema.post_embed_dim, widths, rng))
 
-    def _build_layout(self):
-        layout = []
-        col = 0
-        cat_j = 0
-        num_j = 0
-        for f in self.schema.fields:
-            if f.kind == "categorical":
-                layout.append(("cat", f.name, cat_j, col, col + f.embed_dim))
-                col += f.embed_dim
-                cat_j += 1
-            else:
-                layout.append(("num", f.name, num_j, col, col + 1))
-                col += 1
-                num_j += 1
-        return layout
-
     @property
     def out_dim(self) -> int:
         return self.mlp.out_dim
 
-    def embed(self, block: FeatureBlock) -> np.ndarray:
-        pieces = []
-        for kind, name, j, _, _ in self._layout:
-            if kind == "cat":
-                pieces.append(self.embeddings[name].lookup(block.cat[:, j]))
-            else:
-                pieces.append(block.num[:, j : j + 1])
-        return np.concatenate(pieces, axis=1) if pieces else np.zeros((block.n_rows, 0), F32)
+    def _block_rows(self, block: FeatureBlock) -> list[np.ndarray]:
+        """Each group's block rows for the batch, raveled as (row, field)
+        pairs. Each field's indices are checked against its own table, so
+        an out-of-range index cannot read a neighbouring table's row."""
+        out = []
+        for group in self._groups:
+            idx = block.cat[:, group.cat_cols]
+            if idx.size:
+                bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= group.buckets)
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    raise ValidationError(
+                        f"field '{group.names[j]}': bucket index out of range "
+                        f"[0, {group.buckets[j]}): min={idx[:, j].min()} max={idx[:, j].max()}"
+                    )
+            out.append((idx + group.offsets[:-1]).ravel())
+        return out
 
     def forward(self, block: FeatureBlock):
-        x0 = self.embed(block)
+        rows = self._block_rows(block)
+        n = block.n_rows
+        looked = [group.block.lookup(r).reshape(n, group.dim * len(group.names))
+                  for group, r in zip(self._groups, rows)]
+        dtypes = [x.dtype for x in looked] + ([block.num.dtype] if self._n_num else [])
+        x0 = np.empty((n, self._width), dtype=np.result_type(*dtypes))
+        for group, x in zip(self._groups, looked):
+            x0[:, group.x_cols] = x
+        if self._n_num:
+            x0[:, self._num_cols] = block.num[:, : self._n_num]
         h, caches = self.mlp.forward(x0)
-        return h, (block, caches)
+        return h, (rows, caches)
 
     def backward(self, cache, grad_h: np.ndarray) -> dict[str, np.ndarray]:
         if cache is None:
             raise StateError("backward called with no recorded forward")
-        block, caches = cache
+        rows, caches = cache
         grad_x0, mlp_grads = self.mlp.backward(caches, grad_h)
         grads = {f"mlp.{k}": v for k, v in mlp_grads.items()}
-        for kind, name, j, start, end in self._layout:
-            if kind == "cat":
-                grads[f"emb.{name}"] = self.embeddings[name].grad(
-                    block.cat[:, j], grad_x0[:, start:end]
+        for group, r in zip(self._groups, rows):
+            g = group.block.grad(r, grad_x0[:, group.x_cols].reshape(-1, group.dim))
+            offsets = group.offsets.tolist()
+            cuts = np.searchsorted(g.rows, offsets).tolist()
+            for j, name in enumerate(group.names):
+                lo, hi = cuts[j], cuts[j + 1]
+                grads[f"emb.{name}"] = RowSparseGrad(
+                    g.rows[lo:hi] - offsets[j], g.values[lo:hi], self.embeddings[name].table.shape
                 )
         return grads
 
@@ -192,15 +262,22 @@ class BottomModel:
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         mlp_map = {}
+        emb_map = {}
         for key, value in mapping.items():
-            if key.startswith("emb."):
-                name = key[4:]
-                table = self.embeddings[name].table
-                self.embeddings[name].table = value.reshape(table.shape)
+            if key.startswith("emb.") and key[4:] in self.embeddings:
+                emb_map[key[4:]] = value
             elif key.startswith("mlp."):
                 mlp_map[key[4:]] = value
             else:
                 raise ValidationError(f"unknown bottom parameter '{key}'")
+        for group in self._groups:
+            values = [emb_map[name] for name in group.names if name in emb_map]
+            if values and np.result_type(*values) != group.block.table.dtype:
+                group.block.table = group.block.table.astype(np.result_type(*values))
+                self._bind(group)
+        for name, value in emb_map.items():
+            table = self.embeddings[name].table
+            np.copyto(table, value.reshape(table.shape))
         if mlp_map:
             current = self.mlp.params()
             self.mlp.set_params(

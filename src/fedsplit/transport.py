@@ -44,6 +44,8 @@ DEFAULT_TIMEOUT = 30.0
 _HEADER = struct.Struct("<4sBBQII")
 # largest frame body a header may claim; a longer one is refused unread
 MAX_BODY = 2**31 - 1
+# most bytes one socket read asks for
+RECV_CHUNK = 1 << 20
 
 
 class MsgType(IntEnum):
@@ -316,12 +318,14 @@ def inproc_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InProcChannel, InProc
 
 
 class TcpChannel(Channel):
-    """One long-lived TCP connection carrying the frame stream."""
+    """One long-lived TCP connection carrying the frame stream. Any other
+    stream socket (a Unix socketpair, say) works too, without TCP_NODELAY."""
 
     def __init__(self, sock: socket.socket, name: str = "", timeout: float = DEFAULT_TIMEOUT):
         super().__init__(name=name, timeout=timeout)
         self._sock = sock
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _write(self, data: bytes) -> None:
         try:
@@ -335,7 +339,9 @@ class TcpChannel(Channel):
         self._sock.settimeout(timeout)
         while remaining:
             try:
-                chunk = self._sock.recv(remaining)
+                # recv allocates its whole argument, and a header may claim
+                # up to MAX_BODY bytes that never arrive
+                chunk = self._sock.recv(min(remaining, RECV_CHUNK))
             except socket.timeout:
                 raise TransportTimeout(
                     f"recv timed out after {timeout}s on channel '{self.name}'"

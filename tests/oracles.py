@@ -3,6 +3,11 @@ driver and the demos. Nothing in the library calls them.
 
 - `grad_check`: central differences on a float64 shadow copy of a model,
   compared with its analytic gradients;
+- `dense_grad`: a row-sparse embedding gradient as its full table;
+- `per_table_bottom`: a bottom's forward and backward with one lookup and
+  one gradient per table, the reference for its grouped embedding path;
+- `reference_adam_step`: the allocating textbook form of Adam, the
+  reference for the fused in-place `adam_step`;
 - `pmi_probe`: trained match logits against the exact shifted PMI that
   matched-pair pretraining estimates (PMI - log k);
 - `synth_categorical_pair`: categorical probe data with a known joint
@@ -32,8 +37,8 @@ from fedsplit.data import (
 )
 from fedsplit.errors import ValidationError
 from fedsplit.metrics import EpochRecord, MetricHistory
-from fedsplit.numeric import F32, F64, RowSparseGrad
-from fedsplit.splitnn import SplitModel
+from fedsplit.numeric import F32, F64, EmbeddingTable, RowSparseGrad
+from fedsplit.splitnn import BottomModel, SplitModel
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +69,10 @@ def grad_check(
     """Compare analytic gradients against central differences on a float64
     shadow copy of the model.
 
-    `model` must expose params() / set_params(); set_params binds arrays by
-    reference, so perturbing a shadow entry in place re-evaluates the model
+    `model` must expose params() / set_params(). The shadow is what params()
+    returns after set_params of float64 copies (set_params binds a dense
+    layer's arrays by reference and lays an embedding group out again in
+    float64), so perturbing a shadow entry in place re-evaluates the model
     at the perturbed point. `loss_fn(model)` must run a full forward and
     backward pass and return (loss, grads_by_param_name); a row-sparse
     embedding gradient is densified before the comparison. The analytic
@@ -73,8 +80,8 @@ def grad_check(
     is free of float32 rounding.
     """
     originals = dict(model.params())
-    shadow = {k: v.astype(F64) for k, v in originals.items()}
-    model.set_params(shadow)
+    model.set_params({k: v.astype(F64) for k, v in originals.items()})
+    shadow = dict(model.params())
     try:
         _, analytic = loss_fn(model)
         worst = 0.0
@@ -82,10 +89,7 @@ def grad_check(
         n = 0
         for name, arr in shadow.items():
             flat = arr.reshape(-1)
-            g = analytic[name]
-            if isinstance(g, RowSparseGrad):
-                g = g.dense()
-            a_flat = np.asarray(g, dtype=F64).reshape(-1)
+            a_flat = np.asarray(dense_grad(analytic[name]), dtype=F64).reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
@@ -105,6 +109,74 @@ def grad_check(
     return GradCheckReport(
         max_rel_error=worst, worst_param=worst_name, tolerance=tolerance, n_checked=n
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-tensor references for the fused kernels
+# ---------------------------------------------------------------------------
+
+
+def dense_grad(g):
+    """A gradient as a full array: a RowSparseGrad's rows in a zero table,
+    any other gradient as it is."""
+    if not isinstance(g, RowSparseGrad):
+        return g
+    out = np.zeros(g.shape, dtype=g.values.dtype)
+    out[g.rows] = g.values
+    return out
+
+
+def per_table_bottom(bottom: BottomModel, block: FeatureBlock, grad_h: np.ndarray):
+    """(h, grads) of `bottom` on `block`, with each field looked up in its
+    own table and given its own gradient, the embedded input concatenated
+    in schema order. Reads the bottom's parameters and changes nothing."""
+    pieces, spans = [], []
+    col = cat_j = num_j = 0
+    for f in bottom.schema.fields:
+        if f.kind == CATEGORICAL:
+            table = EmbeddingTable(table=bottom.embeddings[f.name].table)
+            idx = block.cat[:, cat_j]
+            pieces.append(table.lookup(idx))
+            spans.append((f.name, table, idx, col, col + f.embed_dim))
+            col += f.embed_dim
+            cat_j += 1
+        else:
+            pieces.append(block.num[:, num_j : num_j + 1])
+            col += 1
+            num_j += 1
+    h, caches = bottom.mlp.forward(np.concatenate(pieces, axis=1))
+    grad_x0, mlp_grads = bottom.mlp.backward(caches, grad_h)
+    grads = {f"mlp.{k}": v for k, v in mlp_grads.items()}
+    for name, table, idx, start, end in spans:
+        grads[f"emb.{name}"] = table.grad(idx, grad_x0[:, start:end])
+    return h, grads
+
+
+def reference_adam_step(state, params, grads):
+    """The allocating textbook form of adam_step, kept as the oracle that the
+    in-place implementation must match bit for bit. L2 goes to the rows of
+    a row-sparse gradient, to the whole of any other 2-D parameter, and to
+    no 1-D parameter."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if isinstance(g, RowSparseGrad):
+            rows, g = g.rows, dense_grad(g)
+            if state.l2 > 0.0:
+                g[rows] += state.l2 * p[rows]
+        elif state.l2 > 0.0 and p.ndim == 2:
+            g = g + state.l2 * p
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
+        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params
 
 
 # ---------------------------------------------------------------------------

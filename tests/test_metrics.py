@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsplit.errors import MetricUndefinedError, ValidationError
+from fedsplit.errors import MetricUndefinedError, NumericError, ValidationError
 from fedsplit.metrics import (
     EpochRecord,
     MetricHistory,
@@ -50,6 +50,12 @@ class TestAuc:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValidationError):
             auc([0.1, 0.2], [1, 2])
+
+    @pytest.mark.parametrize("labels", [[1, 0, 0, 1], [0, 0, 1, 1]])
+    def test_nan_scores_are_refused_whatever_the_row_order(self, labels):
+        # a NaN has no rank; these two orders used to give 0.5 and 0.75
+        with pytest.raises(NumericError, match="2 of 4 scores are NaN"):
+            auc([np.nan, 0.2, np.nan, 0.9], labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)

@@ -20,7 +20,7 @@ from fedsplit.numeric import (
     log_sigmoid,
     sigmoid,
 )
-from oracles import grad_check
+from oracles import dense_grad, grad_check, reference_adam_step
 
 F32 = np.float32
 F64 = np.float64
@@ -198,6 +198,44 @@ class TestAdam:
             adam_step(state, params, grads)
         assert state.m == {} and not params["layer0.weight"].any()
 
+    def test_refused_step_moves_nothing(self):
+        # a is screened and would move first, and emb takes the live-row
+        # path; b's NaN must refuse the step before either has moved
+        rng = np.random.default_rng(8)
+        params = {"a": rng.normal(size=(3, 2)).astype(F32),
+                  "emb": rng.normal(size=(DENSE_TABLE_ROWS + 8, 2)).astype(F32),
+                  "b": rng.normal(size=2).astype(F32)}
+        state = AdamState(lr=0.1, l2=0.01)
+
+        def grads(b_last):
+            emb = EmbeddingTable(table=params["emb"]).grad(
+                np.array([1, 5, 1]), np.ones((3, 2), dtype=F32))
+            return {"a": np.ones((3, 2), dtype=F32), "emb": emb,
+                    "b": np.array([0.5, b_last], dtype=F32)}
+
+        def snapshot():
+            return (state.step, state.layout,
+                    {k: v.tobytes() for k, v in params.items()},
+                    {k: v.tobytes() for k, v in state.m.items()},
+                    {k: v.tobytes() for k, v in state.v.items()},
+                    {k: None if v is None else v.tobytes() for k, v in state.live.items()})
+
+        adam_step(state, params, grads(0.5))
+        before = snapshot()
+        with pytest.raises(NumericError, match="'b'"):
+            adam_step(state, params, grads(np.nan))
+        assert snapshot() == before
+
+    def test_gradient_or_param_of_another_dtype_is_refused(self):
+        state = AdamState(lr=0.1)
+        params = {"w": np.ones((2, 2), dtype=F32), "b": np.ones(2, dtype=F32)}
+        with pytest.raises(ShapeError, match="'b' has a float64 gradient"):
+            adam_step(state, params, {"w": np.ones((2, 2), dtype=F32), "b": np.ones(2)})
+        params["b"] = np.ones(2)
+        with pytest.raises(ShapeError, match="'b' has a float64 gradient for a float64 param"):
+            adam_step(state, params, {"w": np.ones((2, 2), dtype=F32), "b": np.ones(2)})
+        assert state.step == 0 and state.m == {} and np.all(params["w"] == 1.0)
+
     def test_finite_gradient_whose_squares_overflow_still_steps(self):
         # g·g overflows float32 here, so only the elementwise check can
         # tell that every element is finite
@@ -228,33 +266,6 @@ class TestAdam:
             return params["w"].tobytes()
 
         assert one_run() == one_run()
-
-
-def reference_adam_step(state, params, grads):
-    """The allocating textbook form of adam_step, kept as the oracle that the
-    in-place implementation must match bit for bit. L2 goes to the rows of
-    a row-sparse gradient, to the whole of any other 2-D parameter, and to
-    no 1-D parameter."""
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if isinstance(g, RowSparseGrad):
-            rows, g = g.rows, g.dense()
-            if state.l2 > 0.0:
-                g[rows] += state.l2 * p[rows]
-        elif state.l2 > 0.0 and p.ndim == 2:
-            g = g + state.l2 * p
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
 
 
 class TestAdamMatchesReference:
@@ -321,7 +332,7 @@ class TestAdamMatchesReference:
             rows = rng.normal(size=(6, shape[1])).astype(dtype)
             g = EmbeddingTable(table=p_ours["emb"]).grad(idx, rows)
             if kind == "d":
-                g = g.dense()
+                g = dense_grad(g)
             w_grad = rng.normal(size=(4, 2)).astype(dtype)
             if step == 12:
                 # restore-best and set_params rebind a name to a new array
@@ -353,7 +364,7 @@ class TestAdamMatchesReference:
             g = EmbeddingTable(table=p_ours["emb"]).grad(
                 idx, rng.normal(size=(40, 2)).astype(F32))
             if step == 6:
-                g = g.dense()
+                g = dense_grad(g)
             adam_step(ours, p_ours, {"emb": g})
             reference_adam_step(ref, p_ref, {"emb": g})
             live.append(ours.live["emb"] is not None)
@@ -372,9 +383,9 @@ class TestAdamMatchesReference:
             adam_step(state, {"emb": table.table},
                       {"emb": table.grad(idx, np.ones((idx.size, 2), dtype=F32))})
         np.testing.assert_array_equal(state.live["emb"], [5, 7, 9])
-        assert "emb" not in state.work
+        assert state.layout is None
         adam_step(state, {"emb": table.table}, {"emb": np.ones((n, 2), dtype=F32)})
-        assert state.live["emb"] is None and "emb" in state.work
+        assert state.live["emb"] is None and state.layout.key == (("emb", (n, 2), F32),)
 
     def test_live_rows_that_cover_the_table_switch_it_to_the_dense_path(self):
         n = DENSE_TABLE_ROWS + 1
@@ -386,13 +397,23 @@ class TestAdamMatchesReference:
         assert state.live["emb"] is None
         assert np.all(table.table < 1.0)
 
-    def test_work_buffers_follow_the_names_of_the_last_step(self):
+    def test_flat_layout_follows_the_names_of_the_last_step(self):
         state = AdamState(lr=0.1)
         params = {"a": np.ones(3, dtype=F32), "b": np.ones(2, dtype=F32)}
         grads = {k: np.ones_like(p) for k, p in params.items()}
         adam_step(state, params, grads)
+        first = state.layout
+        assert [name for name, _, _ in first.key] == ["a", "b"] and first.m.size == 5
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
         adam_step(state, {"a": params["a"]}, grads)
-        assert set(state.work) == {"a"}
+        assert [name for name, _, _ in state.layout.key] == ["a"] and state.layout.m.size == 3
+        # b left the layout and keeps its moments
+        assert not np.shares_memory(state.m["b"], state.layout.m)
+        for k in ("m", "v"):
+            assert getattr(state, k)["b"].tobytes() == moments["b"][k == "v"].tobytes()
+        # a's moments were carried over before the second step moved them
+        assert np.shares_memory(state.m["a"], state.layout.m)
+        assert not np.array_equal(state.m["a"], moments["a"][0])
 
     def test_step_at_hashed_scale_allocates_less_than_one_table(self):
         # A 2^16 x 8 float32 table is 2 MiB. The textbook form allocates
@@ -520,7 +541,7 @@ class TestEmbeddingTable:
         g = table.grad(idx, grad_rows)
         assert isinstance(g, RowSparseGrad) and g.shape == (4, 2)
         np.testing.assert_array_equal(g.rows, [1, 2])
-        dense = g.dense()
+        dense = dense_grad(g)
         np.testing.assert_array_equal(dense[1], [2.0, 2.0])
         np.testing.assert_array_equal(dense[2], [1.0, 1.0])
         np.testing.assert_array_equal(dense[0], [0.0, 0.0])
@@ -535,12 +556,13 @@ class TestEmbeddingTable:
         table = EmbeddingTable(table=rng.normal(size=(buckets, 5)).astype(F32))
         idx = rng.zipf(1.3, size=200) % buckets  # heavy repeats, as hashed IDs give
         grad_rows = rng.normal(size=(200, 5)).astype(dtype)
+        grad_rows[::7] = -0.0  # a row of only -0.0 terms sums to +0.0 from zero
         g = table.grad(idx, grad_rows)
         dense = np.zeros((buckets, 5), dtype=dtype)
         np.add.at(dense, idx, grad_rows)
         assert g.values.dtype == dtype
         np.testing.assert_array_equal(g.rows, np.unique(idx))
-        assert g.dense().tobytes() == dense.tobytes()
+        assert dense_grad(g).tobytes() == dense.tobytes()
 
 
 class _TinyModel:

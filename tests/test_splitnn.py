@@ -17,6 +17,7 @@ from fedsplit.data import (
 from fedsplit.errors import FedSplitError, ProtocolError, StateError, ValidationError
 from fedsplit.metrics import auc
 from fedsplit.numeric import (
+    DENSE_TABLE_ROWS,
     AdamState,
     DenseLayer,
     Mlp,
@@ -41,7 +42,7 @@ from fedsplit.splitnn import (
     train_supervised,
 )
 from fedsplit.transport import MsgType, inproc_pair
-from oracles import grad_check
+from oracles import dense_grad, grad_check, per_table_bottom, reference_adam_step
 
 F32 = np.float32
 
@@ -500,7 +501,7 @@ class TestModelContainers:
         np.testing.assert_array_equal(grads["emb.cat1"].rows, [1, 6])
         np.testing.assert_array_equal(grads["emb.cat2"].rows, [0, 4])
         untouched = np.setdiff1d(np.arange(7), [1, 6])
-        assert np.all(grads["emb.cat1"].dense()[untouched] == 0.0)
+        assert np.all(dense_grad(grads["emb.cat1"])[untouched] == 0.0)
 
         # a batch as long as cat2's table is row-sparse there too
         block5 = FeatureBlock(
@@ -569,6 +570,127 @@ class TestModelContainers:
         g, peak = step()
         assert peak < table.nbytes // 8, peak
         assert g.nbytes == g.rows.nbytes + g.values.nbytes < table.nbytes // 64
+
+
+def cat(name, buckets, dim):
+    return FieldSpec(name, "categorical", buckets=buckets, embed_dim=dim)
+
+
+# bottoms whose categorical tables fall into one or more embed-dim groups
+GROUPED_SCHEMAS = {
+    "mixed-dims": (cat("c1", 7, 3), FieldSpec("x", "numerical"), cat("c2", 5, 2),
+                   cat("c3", 11, 3), FieldSpec("y", "numerical"), cat("c4", 4, 2)),
+    "numeric-between": (cat("c1", 9, 4), FieldSpec("x", "numerical"), cat("c2", 6, 4),
+                        FieldSpec("y", "numerical")),
+    "above-threshold": (cat("id", DENSE_TABLE_ROWS + 10, 4), cat("c1", 16, 4),
+                        FieldSpec("x", "numerical")),
+    "desk": tuple(cat(f"a{j}", 24, 8) for j in range(8)),
+}
+
+
+def grouped_case(name, n, seed, dtype=F32):
+    """A bottom over GROUPED_SCHEMAS[name] in `dtype`, and an n-row batch."""
+    schema = PartySchema(party="A", fields=GROUPED_SCHEMAS[name])
+    bottom = BottomModel.create(schema, (5,), rng_for(seed, 1))
+    bottom.set_params({k: v.astype(dtype) for k, v in bottom.params().items()})
+    rng = np.random.default_rng(seed)
+    block = FeatureBlock(
+        cat=np.stack([rng.integers(0, f.buckets, size=n) for f in schema.cat_fields], axis=1),
+        num=rng.normal(size=(n, len(schema.num_fields))).astype(F32),
+    )
+    return bottom, block
+
+
+def grad_bytes(g):
+    if isinstance(g, RowSparseGrad):
+        return g.rows.tobytes(), g.values.tobytes(), g.values.dtype, g.shape
+    return g.tobytes(), g.dtype, g.shape
+
+
+class TestGroupedEmbeddings:
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("case", sorted(GROUPED_SCHEMAS))
+    def test_grouped_bottom_matches_the_per_table_reference(self, case, n, dtype):
+        bottom, block = grouped_case(case, n, seed=len(case) + n, dtype=dtype)
+        h, cache = bottom.forward(block)
+        grad_h = np.random.default_rng(n).normal(size=h.shape).astype(h.dtype)
+        grads = bottom.backward(cache, grad_h)
+        ref_h, ref_grads = per_table_bottom(bottom, block, grad_h)
+        assert h.dtype == ref_h.dtype == dtype and h.tobytes() == ref_h.tobytes()
+        assert set(grads) == set(ref_grads) == set(bottom.params())
+        for name, g in grads.items():
+            assert grad_bytes(g) == grad_bytes(ref_grads[name]), name
+
+    def test_tables_are_views_of_one_block_per_embed_dim(self):
+        bottom, _ = grouped_case("mixed-dims", 3, seed=1)
+        tables = {name: e.table for name, e in bottom.embeddings.items()}
+        assert tables["c1"].base is tables["c3"].base
+        assert tables["c2"].base is tables["c4"].base
+        assert tables["c1"].base is not tables["c2"].base
+        assert [t.shape for t in tables.values()] == [(7, 3), (5, 2), (11, 3), (4, 2)]
+
+    def test_set_params_copies_into_the_views(self):
+        bottom, block = grouped_case("desk", 6, seed=2)
+        fresh, _ = grouped_case("desk", 6, seed=3)
+        source = copy_params(fresh.params())
+        views = {name: e.table for name, e in bottom.embeddings.items()}
+        bottom.set_params(source)
+        for name, view in views.items():
+            assert bottom.embeddings[name].table is view
+            assert view.tobytes() == source[f"emb.{name}"].tobytes()
+        for name in views:
+            source[f"emb.{name}"] += 1.0  # the tables hold copies, not the caller's arrays
+        h, _ = bottom.forward(block)
+        assert h.tobytes() == fresh.forward(block)[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 5, 7])
+    def test_out_of_range_index_in_the_second_field_names_that_field(self, bad):
+        # c2 has 5 buckets and sits after c1's 7 rows in the dim-3 block, so
+        # without its own check index 5 or 7 would read c3's or c1's rows
+        schema = PartySchema(party="A", fields=(cat("c1", 7, 3), cat("c2", 5, 3),
+                                                 cat("c3", 11, 3)))
+        bottom = BottomModel.create(schema, (4,), rng_for(0, 1))
+        block = FeatureBlock(cat=np.array([[0, 1, 2], [6, bad, 10]]),
+                             num=np.zeros((2, 0), F32))
+        with pytest.raises(ValidationError, match=r"field 'c2'.*\[0, 5\)"):
+            bottom.forward(block)
+
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    @pytest.mark.parametrize("l2", [0.0, 1e-2])
+    def test_fused_adam_over_a_whole_party_matches_the_reference(self, l2, dtype):
+        # a local model over mixed dims, numeric columns and one table above
+        # DENSE_TABLE_ROWS; steps 4-6 update only the bottom, as a frozen top
+        # would, so the flat layout is laid out again twice
+        schema = PartySchema(party="A", fields=GROUPED_SCHEMAS["mixed-dims"]
+                             + GROUPED_SCHEMAS["above-threshold"][:1])
+        model = LocalModel.create(schema, (6,), (4,), rng_for(4, 24))
+        model.set_params({k: v.astype(dtype) for k, v in model.params().items()})
+        ref_params = copy_params(model.params())
+        ours, ref = AdamState(lr=3e-2, l2=l2), AdamState(lr=3e-2, l2=l2)
+        rng = np.random.default_rng(6)
+        layouts = []
+        for step in range(10):
+            block = FeatureBlock(
+                cat=np.stack([rng.integers(0, f.buckets, size=16)
+                              for f in schema.cat_fields], axis=1),
+                num=rng.normal(size=(16, 2)).astype(F32),
+            )
+            logits, cache = model.forward(block)
+            _, grad = bce_loss(logits, (rng.random(16) > 0.5).astype(dtype))
+            grads = model.backward(cache, grad)
+            names = [k for k in grads if step not in (4, 5, 6) or k.startswith("bottom.")]
+            adam_step(ours, {k: model.params()[k] for k in names}, grads)
+            reference_adam_step(ref, {k: ref_params[k] for k in names}, grads)
+            layouts.append(ours.layout)
+            for name, p in model.params().items():
+                assert p.dtype == dtype
+                assert p.tobytes() == ref_params[name].tobytes(), (step, name)
+                assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+        assert ours.live["bottom.emb.id"] is not None
+        assert [a is b for a, b in zip(layouts, layouts[1:])] == [
+            True, True, True, False, True, True, False, True, True]
 
 
 def control_passive():

@@ -1,6 +1,7 @@
 """Frame format, channel ordering, handshake, and TCP/in-process parity."""
 
 import queue
+import socket
 import struct
 import threading
 import time
@@ -21,6 +22,7 @@ from fedsplit.transport import (
     InProcChannel,
     MsgType,
     ProtocolMessage,
+    TcpChannel,
     body_length,
     decode_frame,
     encode_frame,
@@ -366,6 +368,54 @@ def test_inproc_recv_on_arbitrary_bytes_decodes_or_raises_typed(chunks):
         except FedSplitError:
             pass
     pytest.fail("recv never reached the end of the stream")
+
+
+# the same streams over a socket, and headers that claim bodies of up to
+# MAX_BODY bytes which never arrive
+_socket_chunks = st.one_of(
+    _chunks,
+    st.builds(
+        lambda type_code, rows, cols:
+            struct.pack("<4sBBQII", b"VFSD", 1, type_code, 1, rows, cols),
+        st.integers(0, 7), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@given(st.lists(_socket_chunks, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_tcp_recv_on_arbitrary_bytes_decodes_or_raises_typed(chunks):
+    ours, theirs = socket.socketpair()
+    theirs.sendall(b"".join(chunks))
+    theirs.close()
+    channel = TcpChannel(ours, name="fuzz", timeout=5.0)
+    try:
+        # each recv consumes at least a header, so the stream ends in a
+        # closed connection
+        for _ in range(len(chunks) * 4 + 1):
+            try:
+                channel.recv()
+            except TransportError as exc:
+                assert "peer closed connection" in str(exc)
+                return
+            except FedSplitError:
+                pass
+    finally:
+        channel.close()
+    pytest.fail("recv never reached the end of the stream")
+
+
+def test_tcp_channel_runs_over_a_unix_socketpair():
+    # TCP_NODELAY, which a Unix socket refuses, is set on TCP sockets only
+    ours, theirs = socket.socketpair()
+    sender, receiver = TcpChannel(ours), TcpChannel(theirs)
+    try:
+        sender.send_new(MsgType.GRADIENT, payload=np.ones((2, 3), dtype=F32))
+        msg = receiver.expect(MsgType.GRADIENT, timeout=5.0)
+        np.testing.assert_array_equal(msg.payload, np.ones((2, 3), dtype=F32))
+    finally:
+        sender.close()
+        receiver.close()
 
 
 # headers of any length, and well-formed ones (right magic and version, or
