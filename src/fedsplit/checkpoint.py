@@ -99,11 +99,18 @@ def load_checkpoint(path) -> tuple[dict, str, dict]:
     meta = {}
     for _ in range(reader.u16()):
         key = reader.string()
+        if key in meta:
+            raise ValidationError(f"{path}: meta key '{key}' is stored twice")
         meta[key] = reader.string()
     params = {}
     for _ in range(reader.u32()):
         name = reader.string()
+        if name in params:
+            raise ValidationError(f"{path}: tensor '{name}' is stored twice")
         rows, cols = struct.unpack("<II", reader.take(8))
         data = np.frombuffer(reader.take(rows * cols * 4), dtype="<f4")
         params[name] = data.astype(F32).reshape(rows, cols)
+    if reader.pos != len(reader.data):
+        raise ValidationError(
+            f"{path}: {len(reader.data) - reader.pos} bytes follow the last tensor")
     return params, schema_hash, meta

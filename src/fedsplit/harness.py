@@ -167,7 +167,8 @@ class ExperimentConfig:
             ("bottom_a", min(self.bottom_a, default=0) >= 1, "one or more widths of at least 1"),
             ("bottom_b", min(self.bottom_b, default=0) >= 1, "one or more widths of at least 1"),
             ("top", min(self.top, default=1) >= 1, "empty or widths of at least 1"),
-            ("recv_timeout", self.recv_timeout >= 0.0, "a non-negative number"),
+            ("recv_timeout", math.isfinite(self.recv_timeout) and self.recv_timeout > 0.0,
+             "a finite positive number"),
         ):
             if not ok:
                 raise ValidationError(

@@ -1,9 +1,10 @@
 """Evaluation metrics and model selection.
 
 AUC is computed rank-based (Mann-Whitney U) with half credit for ties,
-O(n log n). Early stopping halts after `patience` consecutive validation
-evaluations that fail to beat the running best by more than 1e-5 absolute
-AUC. Histories serialize to line-delimited JSON, one record per epoch.
+O(n log n). A validation AUC is a new best when it beats the running best
+by more than IMPROVEMENT_EPS (1e-5 absolute AUC); the epoch loop in
+`splitnn` keeps that best and stops early on it. Histories serialize to
+line-delimited JSON, one record per epoch.
 """
 
 from __future__ import annotations
@@ -107,30 +108,3 @@ class MetricHistory:
 
     def to_jsonl(self) -> str:
         return "\n".join(r.to_json() for r in self.records) + ("\n" if self.records else "")
-
-
-def early_stop(val_aucs, patience: int) -> tuple[bool, int]:
-    """Early-stopping decision over a sequence of validation AUCs.
-
-    Returns (stop, best_index). Stops once `patience` consecutive
-    evaluations fail to improve the best AUC by more than IMPROVEMENT_EPS;
-    patience 0 stops at the first non-improvement. best_index is 0-based
-    (first occurrence wins ties).
-    """
-    aucs = list(val_aucs)
-    if not aucs:
-        raise ValidationError("early_stop needs at least one evaluation")
-    best = aucs[0]
-    best_index = 0
-    stale = 0
-    for i, value in enumerate(aucs[1:], start=1):
-        if value > best + IMPROVEMENT_EPS:
-            best = value
-            best_index = i
-            stale = 0
-        else:
-            stale += 1
-            if stale >= max(patience, 1):
-                return True, best_index
-    return False, best_index
-

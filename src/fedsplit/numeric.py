@@ -17,14 +17,15 @@ row-sparse gradient's own rows receive L2, any other 2-D parameter (a
 dense weight) receives it in full, and a 1-D bias receives none.
 
 Adam screens every gradient before anything moves, so a refused step
-leaves the optimizer and the parameters as they were. It keeps the moments
+leaves the optimizer and the parameters as they were. Its first step fixes
+the parameters it will ever step and the path of each. It keeps the moments
 of a party's parameters in one flat buffer each and runs its elementwise
 sequence once over them, with one subtraction per parameter at the end
 (the multi-tensor "foreach" form of torch.optim.Adam). The order of
 operations per element is that of the textbook expression, so its results
 are bit-identical to that expression evaluated tensor by tensor, while a
 step allocates no full-size temporaries. A table of more than
-DENSE_TABLE_ROWS rows that has had only row-sparse gradients is updated over
+DENSE_TABLE_ROWS rows whose first gradient is row-sparse is updated over
 its live rows, those some step has touched; every other row has
 m = v = g = 0, where the update is exactly a no-op, so skipping them changes
 no bit.
@@ -348,19 +349,17 @@ class AdamState:
     gradient, on the whole of any other 2-D parameter, and never on a 1-D
     bias.
 
-    m and v map each parameter name to its moments. Those of the parameters
-    that take the dense path are views into one flat buffer each, laid out
-    in `layout` together with adam_step's two flat work buffers. A step lays
-    them out again, carrying m and v over, when its (name, shape, dtype)
-    list of dense-path parameters differs from the last one; a name that
-    leaves the list keeps its moments in the buffers it left.
+    The first step fixes everything the state will ever hold (`layout`):
+    the (name, shape, dtype) list of its parameters and each parameter's
+    path. m and v map each parameter name to its moments. Those of the
+    flat-sweep parameters are views into one flat buffer each, laid out
+    together with adam_step's two flat work buffers.
 
-    live maps each table of more than DENSE_TABLE_ROWS rows that has
-    received only row-sparse gradients to the sorted rows they touched;
-    every other row of that table still has m = v = 0. Any other parameter
-    maps to None and takes the dense path: a large table does so for good
-    once a dense gradient reaches it, its live rows cover it, or it is not
-    C-contiguous.
+    live maps each table on the live-row path to the sorted rows its
+    gradients have touched; every other row of that table still has
+    m = v = 0. A table takes that path if its first gradient is row-sparse
+    and it is a C-contiguous table of more than DENSE_TABLE_ROWS rows, and
+    keeps it for good.
     """
 
     lr: float
@@ -377,63 +376,61 @@ class AdamState:
 
 @dataclass
 class FlatLayout:
-    """The flat m, v and work buffers of the dense-path parameters, and each
-    parameter's view of the first work buffer, in the order of `key`."""
+    """The (name, shape, dtype) key of every parameter; the flat m, v and
+    work buffers of the flat-sweep parameters, and each one's view of the
+    first work buffer."""
 
     key: tuple  # ((name, shape, dtype), ...)
     m: np.ndarray
     v: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    grads: list
+    grads: dict  # name -> view of w1
 
 
-def _lay_out(state: AdamState, key: tuple) -> FlatLayout:
-    """Flat buffers for `key`, with each name's m and v carried over into
-    them (zero for a name that has none)."""
-    total = sum(math.prod(shape) for _, shape, _ in key)
-    dtype = key[0][2]
-    m, v, w1, w2 = (np.zeros(total, dtype) for _ in range(4))
-    grads = []
+def _lay_out(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
+             grads: Mapping) -> None:
+    """Fix the state's parameters and their paths from a screened first
+    step, with zero moments for every parameter."""
+    flat = []
+    for name, p in params.items():
+        if (isinstance(grads[name], RowSparseGrad) and p.shape[0] > DENSE_TABLE_ROWS
+                and p.flags.c_contiguous):
+            state.live[name] = np.empty(0, dtype=np.intp)
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        else:
+            flat.append((name, p.shape))
+    dtype = key[0][2] if key else F32
+    m, v, w1, w2 = (np.zeros(sum(math.prod(s) for _, s in flat), dtype) for _ in range(4))
+    views = {}
     start = 0
-    for name, shape, _ in key:
+    for name, shape in flat:
         span = slice(start, start + math.prod(shape))
-        for moments, flat in ((state.m, m), (state.v, v)):
-            view = flat[span].reshape(shape)
-            if name in moments:
-                view[...] = moments[name]
-            moments[name] = view
-        grads.append(w1[span].reshape(shape))
+        state.m[name], state.v[name], views[name] = (
+            a[span].reshape(shape) for a in (m, v, w1))
         start = span.stop
-    return FlatLayout(key, m, v, w1, w2, grads)
+    state.layout = FlatLayout(key, m, v, w1, w2, views)
 
 
-def _live_rows(state: AdamState, name: str, g, p: np.ndarray) -> np.ndarray | None:
-    """Record this step's rows for `name`; return the rows the step must
-    update, or None when it takes the dense path."""
-    if (not isinstance(g, RowSparseGrad) or p.shape[0] <= DENSE_TABLE_ROWS
-            or not p.flags.c_contiguous):
-        state.live[name] = None
-        return None
-    if name not in state.live:
-        live = g.rows
-    elif state.live[name] is None:
-        return None
-    else:
-        # np.union1d, but sorting once: np.unique hashes, which costs ten
-        # times as much at a few thousand rows
-        merged = np.sort(np.concatenate((state.live[name], g.rows)))
-        live = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    if live.size == p.shape[0]:
-        live = None
-    state.live[name] = live
-    return live
+def _live_rows(state: AdamState, name: str, rows: np.ndarray) -> np.ndarray:
+    """Merge this step's rows into `name`'s live rows and return them."""
+    # np.union1d, but sorting once: np.unique hashes, which costs ten
+    # times as much at a few thousand rows
+    merged = np.sort(np.concatenate((state.live[name], rows)))
+    keep = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    state.live[name] = merged[keep]
+    return state.live[name]
 
 
-def _screen(params: Mapping[str, np.ndarray], grads: Mapping) -> None:
-    """Refuse a step whose gradients do not match their params in shape and
-    dtype, whose params do not share one dtype, or that holds a non-finite
-    element."""
+def _screen(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
+            grads: Mapping) -> None:
+    """Raise on any step that adam_step refuses."""
+    if state.layout is not None and key != state.layout.key:
+        raise StateError(
+            f"this Adam state steps {[k[0] for k in state.layout.key]}, fixed by its "
+            "first step; every step must name them in that order, with the same "
+            "shapes and dtype")
     dtype = None
     # g·g is finite when every element is, and needs no mask; only when it
     # is not (a NaN, an inf, or a finite g whose squares overflow) does the
@@ -444,6 +441,10 @@ def _screen(params: Mapping[str, np.ndarray], grads: Mapping) -> None:
             if g.shape != p.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+            if name in state.live and not (isinstance(g, RowSparseGrad)
+                                           and p.flags.c_contiguous):
+                raise ShapeError(f"'{name}' takes the live-row path: it needs a "
+                                 "row-sparse gradient and a C-contiguous table")
             f = g.values if isinstance(g, RowSparseGrad) else g
             if dtype is None:
                 dtype = p.dtype
@@ -467,12 +468,15 @@ def adam_step(
     other 2-D gradient, a dense weight's, adds it on the whole tensor; a
     1-D bias gets none. The caller's grads are never written.
 
-    Every gradient is screened first: a shape or dtype that does not match
-    its parameter, or a non-finite element, refuses the step before the
-    step count, a moment or a parameter has moved. The parameters must
-    share one dtype.
+    The first step fixes the state's parameters and their paths (see
+    AdamState). Every step is screened before the step count, a moment or a
+    parameter moves. It is refused for a gradient whose shape or dtype does
+    not match its parameter, parameters of more than one dtype, or a
+    non-finite element; a later step also for other parameters than the
+    first's (StateError) or a dense gradient for a live-row table
+    (ShapeError).
 
-    The step then writes each dense-path parameter's effective gradient into
+    The step then writes each flat-sweep parameter's effective gradient into
     its view of the flat work buffer, runs the moment and delta update once
     over the flat buffers, and subtracts each parameter's delta view from it.
     Every elementwise operation runs in the same order as the textbook form
@@ -483,42 +487,34 @@ def adam_step(
     so the results are bit-identical to evaluating that expression on the
     dense gradient, tensor by tensor, and a step allocates no full-size
     temporaries. A row with m = v = g = 0 is left exactly as it was
-    (p - (+0.0) = p), so while a table of more than DENSE_TABLE_ROWS rows
-    has had only row-sparse gradients the update runs over its live rows
-    alone (see AdamState.live): it gathers them from p, m and v, runs the
-    same sequence, and scatters them back.
+    (p - (+0.0) = p), so a live-row table is updated over its live rows
+    alone (see AdamState.live): the step gathers them from p, m and v, runs
+    the same sequence, and scatters them back. Once they cover the table
+    this is still the same update, row for row.
     """
-    _screen(params, grads)
+    key = tuple((name, p.shape, p.dtype) for name, p in params.items())
+    _screen(state, key, params, grads)
+    if state.layout is None:
+        _lay_out(state, key, params, grads)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    dense = []
+    flat = state.layout
     for name, p in params.items():
         g = grads[name]
-        live = _live_rows(state, name, g, p)
-        if live is None:
-            dense.append((name, p, g))
+        if name in state.live:
+            live = _live_rows(state, name, g.rows)
+            w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
+            w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
+            gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
+            p_live, m_live, v_live = gathered
+            _adam_update(state, c1, c2, m_live, v_live, w1, np.empty_like(w1))
+            np.subtract(p_live, w1, p_live)
+            for a, a_live in zip((p, state.m[name], state.v[name]), gathered):
+                np.put(_row_items(a), live, _row_items(a_live))
             continue
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
-        w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
-        gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
-        p_live, m_live, v_live = gathered
-        _adam_update(state, c1, c2, m_live, v_live, w1, np.empty_like(w1))
-        np.subtract(p_live, w1, p_live)
-        for a, a_live in zip((p, state.m[name], state.v[name]), gathered):
-            np.put(_row_items(a), live, _row_items(a_live))
-    if not dense:
-        return params
-
-    key = tuple((name, p.shape, p.dtype) for name, p, _ in dense)
-    if state.layout is None or state.layout.key != key:
-        state.layout = _lay_out(state, key)
-    flat = state.layout
-    for (_, p, g), w1 in zip(dense, flat.grads):
+        w1 = flat.grads[name]
         if isinstance(g, RowSparseGrad):
             w1.fill(0)
             np.put(_row_items(w1), g.rows, _row_items(_row_values(state, p, g)))
@@ -528,8 +524,8 @@ def adam_step(
         else:
             np.copyto(w1, g)
     _adam_update(state, c1, c2, flat.m, flat.v, flat.w1, flat.w2)
-    for (_, p, _), delta in zip(dense, flat.grads):
-        np.subtract(p, delta, p)
+    for name, delta in flat.grads.items():
+        np.subtract(params[name], delta, params[name])
     return params
 
 

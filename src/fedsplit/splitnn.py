@@ -38,7 +38,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import FeatureBlock, PartitionedDataset, PartySchema, batch_indices, validation_split
 from .errors import ProtocolError, ShapeError, StateError, ValidationError
-from .metrics import IMPROVEMENT_EPS, EpochRecord, MetricHistory, auc, early_stop
+from .metrics import IMPROVEMENT_EPS, EpochRecord, MetricHistory, auc
 from .numeric import (
     F32,
     AdamState,
@@ -748,12 +748,14 @@ def _epoch_loop(
     validate(diverged) -> AUC or None, a snapshot() of a new best (validation
     AUC above the best so far by more than IMPROVEMENT_EPS), end_epoch(is_best)
     -> extra record fields, and one EpochRecord with the epoch's frame and byte
-    deltas. The loop stops after a diverged epoch, or early when validation
-    stalls for `patience` epochs, and finally restore()s the best snapshot.
+    deltas. The loop stops after a diverged epoch, or early after
+    max(patience, 1) validated epochs in a row with no new best (patience
+    None never stops early), and finally restore()s the best snapshot.
     """
     history = MetricHistory()
     best_auc = -np.inf
     best = None
+    stale = 0
     for epoch in range(1, settings.epochs + 1):
         t0 = time.perf_counter()
         frames0, bytes0 = channel.counters.snapshot() if channel is not None else (0, 0)
@@ -804,12 +806,10 @@ def _epoch_loop(
                 extra=extra,
             )
         )
-        if diverged:
+        if val_auc is not None:
+            stale = 0 if is_best else stale + 1
+        if diverged or (settings.patience is not None and stale >= max(settings.patience, 1)):
             break
-        if validate is not None and settings.patience is not None:
-            stop, _ = early_stop(history.val_aucs, settings.patience)
-            if stop:
-                break
 
     if best is not None:
         restore(best)

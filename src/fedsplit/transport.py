@@ -375,7 +375,7 @@ def tcp_accept(server: socket.socket, *, timeout: float = DEFAULT_TIMEOUT) -> Tc
         conn, _ = server.accept()
     except socket.timeout:
         raise TransportTimeout("no connection arrived before the deadline") from None
-    return TcpChannel(conn, name="passive")
+    return TcpChannel(conn, name="passive", timeout=timeout)
 
 
 def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
@@ -383,7 +383,7 @@ def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT) -> Tc
     for _ in range(50):  # the peer may still be starting: retry for 5 s
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
-            return TcpChannel(sock, name="active")
+            return TcpChannel(sock, name="active", timeout=timeout)
         except OSError as exc:
             last = exc
             time.sleep(0.1)

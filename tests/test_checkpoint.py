@@ -53,6 +53,41 @@ def test_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_bytes_after_the_last_tensor_are_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 2), dtype=F32)}, "h")
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValidationError, match="1 bytes follow the last tensor"):
+        load_checkpoint(path)
+
+
+def test_a_tensor_name_stored_twice_is_rejected(tmp_path):
+    # a one-tensor file's record (name, rows, cols, data), written twice
+    # under a tensor count of 2
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones((1, 2), dtype=F32)}, "h")
+    raw = path.read_bytes()
+    record = raw[-(2 + 1 + 8 + 8):]
+    head = raw[:-len(record) - 4]
+    assert raw[len(head):len(head) + 4] == (1).to_bytes(4, "little")
+    path.write_bytes(head + (2).to_bytes(4, "little") + record + record)
+    with pytest.raises(ValidationError, match="tensor 'w' is stored twice"):
+        load_checkpoint(path)
+
+
+def test_a_meta_key_stored_twice_is_rejected(tmp_path):
+    # the one meta entry (key "k", value "v") written twice under a count of 2
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {}, "h", meta={"k": "v"})
+    raw = path.read_bytes()
+    entry = b"\x01\x00k\x01\x00v"
+    at = raw.index(entry)
+    assert raw[at - 2:at] == (1).to_bytes(2, "little")
+    path.write_bytes(raw[:at - 2] + (2).to_bytes(2, "little") + entry + raw[at:])
+    with pytest.raises(ValidationError, match="meta key 'k' is stored twice"):
+        load_checkpoint(path)
+
+
 def test_deterministic_bytes(tmp_path):
     params = {"b": np.ones(3, dtype=F32), "a": np.zeros((2, 2), dtype=F32)}
     p1, p2 = tmp_path / "1.ckpt", tmp_path / "2.ckpt"

@@ -96,7 +96,8 @@ class TestRunCommand:
         assert "hyper.epochs" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("key, value", [
-        ("exec.recv_timeout", "-5"), ("hyper.epochs", "0"),
+        ("exec.recv_timeout", "-5"), ("exec.recv_timeout", "0"),
+        ("exec.recv_timeout", "inf"), ("hyper.epochs", "0"),
         ("hyper.lr", "nan"), ("hyper.finetune_lr", "0"),
         ("hyper.k", "0"), ("hyper.l2", "-1"), ("arch.bottom_b", "0"),
         ("hyper.patience", "-1"), ("hyper.pretrain_epochs", "0"), ("hyper.eval_batch", "1"),

@@ -9,8 +9,8 @@ from fedsplit.metrics import (
     EpochRecord,
     MetricHistory,
     auc,
-    early_stop,
 )
+from fedsplit.splitnn import TrainSettings, _epoch_loop
 from oracles import best_epoch, epochs_to_auc, from_jsonl
 
 
@@ -81,6 +81,22 @@ class TestAuc:
         assert auc(scores, labels).auc == auc_pair_counting(scores, labels)
 
 
+def early_stop(val_aucs, patience):
+    """Run `_epoch_loop` with a stub step over one scripted validation AUC
+    per epoch, and one epoch more whose AUC of 0 is never a new best.
+    Returns (stopped before that extra epoch, 0-based index of the epoch
+    whose snapshot was restored)."""
+    scripted = iter([*val_aucs, 0.0])
+    epochs, restored = [], []
+    history = _epoch_loop(
+        TrainSettings(epochs=len(val_aucs) + 1, patience=patience, batch_size=2),
+        np.arange(2), lambda epoch, batch_no, rows, diverged: epochs.append(epoch) or 1.0,
+        validate=lambda diverged: next(scripted),
+        snapshot=lambda: epochs[-1] - 1, restore=restored.append,
+    )
+    return len(history.records) == len(val_aucs), restored[0]
+
+
 class TestEarlyStop:
     def test_monotone_improvement_never_stops(self):
         stop, best = early_stop([0.5, 0.6, 0.7, 0.8], patience=2)
@@ -102,10 +118,6 @@ class TestEarlyStop:
     def test_improvement_below_threshold_counts_as_stale(self):
         stop, best = early_stop([0.7, 0.7000001, 0.7000002], patience=2)
         assert stop and best == 0
-
-    def test_needs_one_evaluation(self):
-        with pytest.raises(ValidationError):
-            early_stop([], patience=1)
 
 
 def make_history(aucs):

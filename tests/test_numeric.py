@@ -26,6 +26,15 @@ F32 = np.float32
 F64 = np.float64
 
 
+def snapshot(state, params):
+    """Everything a refused Adam step must leave as it was."""
+    return (state.step, state.layout,
+            {k: v.tobytes() for k, v in params.items()},
+            {k: v.tobytes() for k, v in state.m.items()},
+            {k: v.tobytes() for k, v in state.v.items()},
+            {k: v.tobytes() for k, v in state.live.items()})
+
+
 def fd_layer_grads(layer, x, upstream, step=1e-3):
     """Central-difference oracle on a float64 shadow copy of one layer.
 
@@ -213,18 +222,11 @@ class TestAdam:
             return {"a": np.ones((3, 2), dtype=F32), "emb": emb,
                     "b": np.array([0.5, b_last], dtype=F32)}
 
-        def snapshot():
-            return (state.step, state.layout,
-                    {k: v.tobytes() for k, v in params.items()},
-                    {k: v.tobytes() for k, v in state.m.items()},
-                    {k: v.tobytes() for k, v in state.v.items()},
-                    {k: None if v is None else v.tobytes() for k, v in state.live.items()})
-
         adam_step(state, params, grads(0.5))
-        before = snapshot()
+        before = snapshot(state, params)
         with pytest.raises(NumericError, match="'b'"):
             adam_step(state, params, grads(np.nan))
-        assert snapshot() == before
+        assert snapshot(state, params) == before
 
     def test_gradient_or_param_of_another_dtype_is_refused(self):
         state = AdamState(lr=0.1)
@@ -307,10 +309,9 @@ class TestAdamMatchesReference:
 
     # per step, a 6-index batch's row-sparse gradient ("s") or the same
     # gradient as a dense table ("d"), over a table above DENSE_TABLE_ROWS
-    # rows, whose row-sparse steps take the live-row path until a dense one
+    # rows, which takes the live-row path if its first step is row-sparse
     SCHEDULES = {
         "row-sparse": "s" * 30,
-        "dense-step-between-sparse": "s" * 10 + "d" + "s" * 19,
         "short-sparse-between-dense": "d" * 10 + "s" + "d" * 19,
     }
 
@@ -326,7 +327,6 @@ class TestAdamMatchesReference:
         ours, ref = AdamState(lr=3e-2, l2=l2), AdamState(lr=3e-2, l2=l2)
         p_ours = {k: a.copy() for k, a in start.items()}
         p_ref = {k: a.copy() for k, a in start.items()}
-        live_steps = 0
         for step, kind in enumerate(self.SCHEDULES[schedule]):
             idx = rng.zipf(1.5, size=6) % shape[0]  # repeated rows
             rows = rng.normal(size=(6, shape[1])).astype(dtype)
@@ -340,40 +340,33 @@ class TestAdamMatchesReference:
                 p_ours["emb"], p_ref["emb"] = fresh.copy(), fresh.copy()
             adam_step(ours, p_ours, {"emb": g, "w": w_grad})
             reference_adam_step(ref, p_ref, {"emb": g, "w": w_grad})
-            live_steps += ours.live["emb"] is not None
+            assert ("emb" in ours.live) == (self.SCHEDULES[schedule][0] == "s")
             for name in start:
                 assert p_ours[name].dtype == dtype
                 assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
-        # the live-row path runs until the first dense step
-        kinds = self.SCHEDULES[schedule]
-        assert live_steps == (kinds.index("d") if "d" in kinds else len(kinds))
 
     @pytest.mark.parametrize("buckets", [DENSE_TABLE_ROWS, DENSE_TABLE_ROWS + 1])
     def test_tables_at_and_above_the_threshold_match_the_reference(self, buckets):
-        # at the threshold every step is dense; above it the row-sparse steps
-        # run over the live rows until the dense step, and densely after it
+        # at the threshold every step is dense; above it every step runs
+        # over the live rows
         rng = np.random.default_rng(13)
         start = rng.normal(size=(buckets, 2)).astype(F32)
         ours, ref = AdamState(lr=3e-2, l2=1e-2), AdamState(lr=3e-2, l2=1e-2)
         p_ours, p_ref = {"emb": start.copy()}, {"emb": start.copy()}
-        live = []
         for step in range(12):
             idx = rng.zipf(1.5, size=40) % buckets
             g = EmbeddingTable(table=p_ours["emb"]).grad(
                 idx, rng.normal(size=(40, 2)).astype(F32))
-            if step == 6:
-                g = dense_grad(g)
             adam_step(ours, p_ours, {"emb": g})
             reference_adam_step(ref, p_ref, {"emb": g})
-            live.append(ours.live["emb"] is not None)
+            assert ("emb" in ours.live) == (buckets > DENSE_TABLE_ROWS)
             assert p_ours["emb"].tobytes() == p_ref["emb"].tobytes(), step
             assert ours.m["emb"].tobytes() == ref.m["emb"].tobytes(), step
             assert ours.v["emb"].tobytes() == ref.v["emb"].tobytes(), step
-        assert live == [buckets > DENSE_TABLE_ROWS] * 6 + [False] * 6
 
-    def test_live_rows_stay_row_sparse_until_a_dense_step(self):
+    def test_a_dense_gradient_for_a_live_row_table_is_refused(self):
         rng = np.random.default_rng(2)
         n = DENSE_TABLE_ROWS + 100
         table = EmbeddingTable(table=rng.normal(size=(n, 2)).astype(F32))
@@ -383,37 +376,102 @@ class TestAdamMatchesReference:
             adam_step(state, {"emb": table.table},
                       {"emb": table.grad(idx, np.ones((idx.size, 2), dtype=F32))})
         np.testing.assert_array_equal(state.live["emb"], [5, 7, 9])
-        assert state.layout is None
-        adam_step(state, {"emb": table.table}, {"emb": np.ones((n, 2), dtype=F32)})
-        assert state.live["emb"] is None and state.layout.key == (("emb", (n, 2), F32),)
+        assert state.layout.key == (("emb", (n, 2), F32),) and state.layout.m.size == 0
+        before = snapshot(state, {"emb": table.table})
+        with pytest.raises(ShapeError, match="'emb' takes the live-row path"):
+            adam_step(state, {"emb": table.table}, {"emb": np.ones((n, 2), dtype=F32)})
+        assert snapshot(state, {"emb": table.table}) == before
 
-    def test_live_rows_that_cover_the_table_switch_it_to_the_dense_path(self):
+    def test_a_covered_table_stays_live_and_matches_the_reference(self):
         n = DENSE_TABLE_ROWS + 1
-        table = EmbeddingTable(table=np.ones((n, 2), dtype=F32))
-        state = AdamState(lr=1e-2)
-        for idx in (np.arange(n - 1), np.arange(1, n)):
-            adam_step(state, {"emb": table.table},
-                      {"emb": table.grad(idx, np.ones((n - 1, 2), dtype=F32))})
-        assert state.live["emb"] is None
-        assert np.all(table.table < 1.0)
+        ours, ref = AdamState(lr=1e-2, l2=1e-2), AdamState(lr=1e-2, l2=1e-2)
+        p_ours = {"emb": np.ones((n, 2), dtype=F32)}
+        p_ref = {"emb": np.ones((n, 2), dtype=F32)}
+        for idx in (np.arange(n - 1), np.arange(1, n), np.arange(n)):
+            g = EmbeddingTable(table=p_ours["emb"]).grad(
+                idx, np.ones((idx.size, 2), dtype=F32))
+            adam_step(ours, p_ours, {"emb": g})
+            reference_adam_step(ref, p_ref, {"emb": g})
+            assert p_ours["emb"].tobytes() == p_ref["emb"].tobytes()
+            assert ours.m["emb"].tobytes() == ref.m["emb"].tobytes()
+            assert ours.v["emb"].tobytes() == ref.v["emb"].tobytes()
+        assert ours.live["emb"].size == n
+        assert np.all(p_ours["emb"] < 1.0)
 
-    def test_flat_layout_follows_the_names_of_the_last_step(self):
+    @pytest.mark.parametrize("change", ["drop", "add", "reshape"])
+    def test_a_step_over_other_parameters_is_refused(self, change):
         state = AdamState(lr=0.1)
         params = {"a": np.ones(3, dtype=F32), "b": np.ones(2, dtype=F32)}
-        grads = {k: np.ones_like(p) for k, p in params.items()}
-        adam_step(state, params, grads)
-        first = state.layout
-        assert [name for name, _, _ in first.key] == ["a", "b"] and first.m.size == 5
-        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
-        adam_step(state, {"a": params["a"]}, grads)
-        assert [name for name, _, _ in state.layout.key] == ["a"] and state.layout.m.size == 3
-        # b left the layout and keeps its moments
-        assert not np.shares_memory(state.m["b"], state.layout.m)
-        for k in ("m", "v"):
-            assert getattr(state, k)["b"].tobytes() == moments["b"][k == "v"].tobytes()
-        # a's moments were carried over before the second step moved them
-        assert np.shares_memory(state.m["a"], state.layout.m)
-        assert not np.array_equal(state.m["a"], moments["a"][0])
+        adam_step(state, params, {k: np.ones_like(p) for k, p in params.items()})
+        assert [name for name, _, _ in state.layout.key] == ["a", "b"]
+        assert state.layout.m.size == 5
+        other = {"drop": {"a": params["a"]},
+                 "add": {**params, "c": np.ones(2, dtype=F32)},
+                 "reshape": {"a": params["a"], "b": np.ones(4, dtype=F32)}}[change]
+        before = snapshot(state, params)
+        with pytest.raises(StateError, match=r"\['a', 'b'\]"):
+            adam_step(state, other, {k: np.ones_like(p) for k, p in other.items()})
+        assert snapshot(state, params) == before
+
+    # a bias, a weight and a table above DENSE_TABLE_ROWS; each 2-D
+    # parameter's gradient may be row-sparse or dense
+    CONTRACT_SHAPES = {"b": (2,), "w": (3, 2), "emb": (DENSE_TABLE_ROWS + 3, 2)}
+    OTHER_SHAPES = {"b": (3,), "w": (4, 2), "emb": (DENSE_TABLE_ROWS + 4, 2)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([F32, F64]),
+           l2=st.sampled_from([0.0, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    def test_legal_steps_match_the_reference_and_others_move_nothing(
+            self, data, dtype, l2, seed):
+        rng = np.random.default_rng(seed)
+        names = data.draw(st.lists(st.sampled_from(sorted(self.CONTRACT_SHAPES)),
+                                   min_size=1, unique=True), label="names")
+        start = {n: rng.normal(size=self.CONTRACT_SHAPES[n]).astype(dtype) for n in names}
+        p_ours = {k: a.copy() for k, a in start.items()}
+        p_ref = {k: a.copy() for k, a in start.items()}
+        ours, ref = AdamState(lr=3e-2, l2=l2), AdamState(lr=3e-2, l2=l2)
+
+        def grad(shape, sparse):
+            if len(shape) == 1:
+                return rng.normal(size=shape).astype(dtype)
+            g = EmbeddingTable(table=np.empty(shape, dtype)).grad(
+                rng.zipf(1.5, size=5) % shape[0], rng.normal(size=(5, 2)).astype(dtype))
+            return g if sparse else dense_grad(g)
+
+        first_sparse = None
+        for step in range(data.draw(st.integers(1, 6), label="steps")):
+            kinds = ["legal"] if step == 0 else ["legal", "drop", "add", "reshape"]
+            if "emb" in ours.live:
+                kinds.append("dense")
+            kind = data.draw(st.sampled_from(kinds), label=f"step {step}")
+            sparse = {n: n in ours.live or data.draw(st.booleans(), label=f"{n} sparse")
+                      for n in names}
+            first_sparse = sparse if step == 0 else first_sparse
+            params = dict(p_ours)
+            if kind == "drop":
+                params.pop(data.draw(st.sampled_from(names), label="dropped"))
+            elif kind == "add":
+                params["x"] = np.zeros(2, dtype)
+            elif kind == "reshape":
+                name = data.draw(st.sampled_from(names), label="reshaped")
+                params[name] = np.zeros(self.OTHER_SHAPES[name], dtype)
+            grads = {n: grad(p.shape, sparse.get(n, True)) for n, p in params.items()}
+            if kind == "dense":
+                grads["emb"] = dense_grad(grads["emb"])
+            if kind != "legal":
+                before = snapshot(ours, p_ours)
+                error = ShapeError if kind == "dense" else StateError
+                with pytest.raises(error):
+                    adam_step(ours, params, grads)
+                assert snapshot(ours, p_ours) == before
+                continue
+            adam_step(ours, p_ours, grads)
+            reference_adam_step(ref, p_ref, grads)
+            for name in names:
+                assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
+                assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+        assert sorted(ours.live) == (["emb"] if "emb" in names and first_sparse["emb"] else [])
 
     def test_step_at_hashed_scale_allocates_less_than_one_table(self):
         # A 2^16 x 8 float32 table is 2 MiB. The textbook form allocates

@@ -338,6 +338,29 @@ class TestTcpChannel:
         accepted["chan"].close()
         server.close()
 
+    def test_both_ends_wait_the_timeout_they_were_opened_with(self):
+        # neither peer ever sends, so each recv ends at the channel's own
+        # timeout rather than at DEFAULT_TIMEOUT
+        server = tcp_listen("127.0.0.1", 0)
+        port = server.getsockname()[1]
+        accepted = {}
+        t = threading.Thread(
+            target=lambda: accepted.update(chan=tcp_accept(server, timeout=0.4)))
+        t.start()
+        active = tcp_connect("127.0.0.1", port, timeout=0.3)
+        t.join()
+        try:
+            for chan, timeout in ((active, 0.3), (accepted["chan"], 0.4)):
+                assert chan.timeout == timeout
+                started = time.monotonic()
+                with pytest.raises(TransportTimeout, match=f"after {timeout}s"):
+                    chan.recv()
+                assert timeout <= time.monotonic() - started < 5.0
+        finally:
+            active.close()
+            accepted["chan"].close()
+            server.close()
+
 
 # arbitrary chunks, and headers with the right magic and version whose
 # fields and body are arbitrary, so that decoding gets past the magic check
