@@ -24,7 +24,6 @@ from fedsplit.splitnn import (
     SplitModel,
     TopModel,
     TrainSettings,
-    copy_params,
     federated_eval_probs,
     local_train,
     rng_for,
@@ -53,9 +52,10 @@ monolith = SplitModel(
     BottomModel.create(dataset.schema_b, widths, rng_for(seed, 92)),
     TopModel.create(2 * widths[-1], top_widths, rng_for(seed, 93)),
 )
-monolith.bottom_a.set_params(copy_params(bottom_a.params()))
-monolith.bottom_b.set_params(copy_params(bottom_b.params()))
-monolith.top.set_params(copy_params(top.params()))
+# set_params copies in, so the monolith never aliases the parties' arrays
+monolith.bottom_a.set_params(bottom_a.params())
+monolith.bottom_b.set_params(bottom_b.params())
+monolith.top.set_params(top.params())
 
 batch = dataset.labeled.take(np.arange(64))
 settings = TrainSettings(lr=1e-2, l2=1e-4, batch_size=256, epochs=12,

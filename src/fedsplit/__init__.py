@@ -9,9 +9,10 @@ aligned rows are exploited with matched-pair detection pretraining.
 Start with `fedsplit.harness.run` / `run_matrix` for end-to-end pipelines,
 or compose the pieces directly: `data` (schemas, hashing, synthetic
 generators), `numeric` (layers, losses, Adam),
-`transport` (framed channel), `splitnn` (party runtimes and trainers),
-`mpd` (pretraining), `distill` (teacher-student transfer), `metrics`
-(AUC, early stopping).
+`transport` (framed channel), `splitnn` (model containers, party runtimes,
+and the trainers' one epoch loop with early stopping), `mpd` (pretraining),
+`distill` (teacher-student transfer), `metrics` (AUC, the new-best margin,
+epoch histories).
 """
 
 from . import checkpoint, data, distill, errors, harness, metrics, mpd, numeric, splitnn, transport

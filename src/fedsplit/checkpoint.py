@@ -13,7 +13,7 @@ Layout (all integers little-endian):
         data     rows * cols float32 little-endian
 
 Vectors are stored with rows = 1; the loader returns 2-D arrays and
-set_params reshapes them against the live parameter shapes.
+set_params takes a one-row tensor for a vector parameter.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@
     fedsplit eval      --checkpoint F ...                     score a checkpoint on test data
     fedsplit run       --method M ...                         full pipeline + report JSON
     fedsplit grid      --method M --grid lr=a,b --grid l2=... hyperparameter grid
-    fedsplit serve-b   [--port P] ...                         passive-party server (TCP)
+    fedsplit serve-b   [--host H] [--port P] ...              passive-party server (TCP)
 
 Every subcommand takes --config (INI file) plus repeated --set section.key=value
-overrides; --transport, --seed, --method, --out are shortcuts for common keys.
+overrides; --transport, --seed, --method, --out (and serve-b's --host and
+--port) are shortcuts for common keys. A package error or a file that cannot
+be read or bound exits 2 with "error: ..." on stderr.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def _config_from(args) -> ExperimentConfig:
         overrides["exec.transport"] = args.transport
     if args.out is not None:
         overrides["exec.out_dir"] = args.out
+    if getattr(args, "host", None) is not None:
+        overrides["exec.tcp_host"] = args.host
+    if getattr(args, "port", None) is not None:
+        overrides["exec.tcp_port"] = str(args.port)
     if args.config:
         config = ExperimentConfig.from_file(args.config, overrides)
     else:
@@ -150,6 +156,8 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     config = _config_from(args)
     dataset = load_dataset(config)
+    if dataset.test is None:
+        raise ValidationError("the dataset has no test segment to score")
     params, _, meta = load_checkpoint(args.checkpoint)
     names = set(params)
     if any(name.startswith("b.") for name in names):
@@ -210,7 +218,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_serve_b(args) -> int:
     config = _config_from(args)
-    serve_party_b(config, host=args.host, port=args.port)
+    serve_party_b(config)
     return 0
 
 
@@ -244,14 +252,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("serve-b", help="run the passive party (TCP)")
     _add_common(p)
-    p.add_argument("--host", default=None)
-    p.add_argument("--port", type=int, default=None)
+    p.add_argument("--host", help="shortcut for exec.tcp_host")
+    p.add_argument("--port", type=int, help="shortcut for exec.tcp_port")
     p.set_defaults(fn=_cmd_serve_b)
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FedSplitError as exc:
+    except (FedSplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,6 +59,7 @@ from .splitnn import (
     STREAM_INIT_TOP,
     ActiveParty,
     BottomModel,
+    Composite,
     LocalModel,
     PassiveParty,
     TopModel,
@@ -169,11 +170,14 @@ class ExperimentConfig:
             ("top", min(self.top, default=1) >= 1, "empty or widths of at least 1"),
             ("recv_timeout", math.isfinite(self.recv_timeout) and self.recv_timeout > 0.0,
              "a finite positive number"),
+            ("tcp_port", 1 <= self.tcp_port <= 65535, "in 1..65535"),
         ):
             if not ok:
                 raise ValidationError(
                     f"{CONFIG_KEYS[name]} must be {rule}, got {getattr(self, name)}"
                 )
+        if self.data_kind == "csv":
+            _validate_csv_paths(self.csv_paths)
         if self.method in _NEEDS_UNLABELED:
             if self.data_kind == "synthetic" and self.synth.n_unlabeled < 2:
                 raise ValidationError(f"method '{self.method}' needs an unlabeled segment")
@@ -261,6 +265,21 @@ CONFIG_KEYS = {
 }
 
 
+# the data.csv_* keys come in a/b pairs; the first two pairs are required
+_CSV_PAIRS = ("schema", "labeled", "unlabeled", "test")
+
+
+def _validate_csv_paths(paths: dict) -> None:
+    known = {f"{pair}_{side}" for pair in _CSV_PAIRS for side in "ab"}
+    for key in paths:
+        if key not in known:
+            raise ValidationError(f"unknown config key 'data.csv_{key}'")
+    for pair in _CSV_PAIRS:
+        missing = [f"data.csv_{pair}_{side}" for side in "ab" if f"{pair}_{side}" not in paths]
+        if missing and (len(missing) == 1 or pair in _CSV_PAIRS[:2]):
+            raise ValidationError(f"data.kind=csv needs {' and '.join(missing)}")
+
+
 def _parse(flat_key: str, raw, default):
     """raw as the type of default: a tuple holds comma-separated ints, and
     a None default is an optional string."""
@@ -342,7 +361,7 @@ class _PassiveWorkers:
 _PASSIVE_WORKERS = _PassiveWorkers()
 
 
-class FedSession:
+class FedSession(Composite):
     """A live two-party session: an ActiveParty plus a served passive peer.
 
     In-process mode runs PassiveParty.serve() on a reused worker thread over
@@ -393,27 +412,12 @@ class FedSession:
             # end of stream: the active party's next read fails at once
             self.passive.channel.close()
 
-    # -- the federated triple ---------------------------------------------
-    def _parts(self) -> dict:
+    def parts(self) -> dict:
+        """The federated triple, named as in `SplitModel.parts()`. The `b`
+        part exists only in-process; over TCP the peer holds B's bottom, and
+        the run's one session carries it from stage to stage."""
         b = {"b": self.passive.bottom} if self.passive is not None else {}
         return {"a": self.active.bottom, **b, "top": self.active.top}
-
-    def params(self) -> dict:
-        """A copy of the federated triple, named `a.*`, `b.*` and `top.*` as
-        in `SplitModel.params()`. The `b.*` part exists only in-process; over
-        TCP the peer holds B's bottom."""
-        return {f"{prefix}.{name}": value.copy()
-                for prefix, model in self._parts().items()
-                for name, value in model.params().items()}
-
-    def load(self, params: dict) -> None:
-        """Set a copy of whichever parts of the triple `params` names. Over
-        TCP its `b.*` part is not loaded: the run's one session already
-        holds B's state from the stage that produced it."""
-        for prefix, model in self._parts().items():
-            part = _strip(params, prefix)
-            if part:
-                model.set_params(copy_params(part))
 
     def reinit_passive(self, rng_key: list[int]) -> None:
         self.active.channel.send_new(
@@ -530,8 +534,8 @@ def _baseline_key(config):
 # where `done` maps the names of the method's earlier stages to their
 # outputs, and returns its own output: a dict that may carry the stage's
 # "history", its "test_auc", its "inference_messages" and its "params". A
-# federated stage's params are one flat dict named as `FedSession.params()`
-# names them; a local stage's are party A's `LocalModel.params()`.
+# federated stage's params are a copy of `FedSession.params()`; a local
+# stage's are party A's `LocalModel.params()`.
 
 
 def _stage_baseline_local(config, dataset, ctx, session_factory=None, done=None):
@@ -553,7 +557,7 @@ def _stage_student(config, dataset, ctx, session_factory, done):
         rng_for(config.seed, STREAM_INIT_LOCAL_A),
     )
     if pre is not None:
-        model.bottom.set_params(copy_params(_strip(pre["params"], "a")))
+        model.bottom.set_params(_strip(pre["params"], "a"))
     settings = _settings(config, lr=config.lr if pre is None else config.finetune_lr,
                          epochs=config.epochs, batch=config.batch_train, stage="local",
                          patience=config.patience)
@@ -592,8 +596,8 @@ def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
             history = _pretrain_in(session, config)
         # no message answers the last gradient, so only close(), which waits
         # for the in-process passive party to return, orders its last update
-        # before the copy
-        params = {k: v for k, v in session.params().items() if not k.startswith("top.")}
+        # before this copy, which the cache keeps apart from live arrays
+        params = {k: v.copy() for k, v in session.params().items() if not k.startswith("top.")}
         return {"params": params, "history": history}
 
     return ctx.stage(_pretrain_key(config), build)
@@ -611,7 +615,7 @@ def _score_fed(config, dataset, session) -> dict:
     return {
         "test_auc": auc(probs, dataset.test.y).auc,
         "inference_messages": after - before,
-        "params": session.params(),
+        "params": copy_params(session.params()),
     }
 
 
@@ -634,7 +638,7 @@ def _stage_fed_train(config, dataset, ctx, session_factory, done):
             # top is always fresh (the match-task top is never reused), so
             # a shared TCP session replays the in-process stage exactly
             if pre is not None:
-                session.load(pre["params"])
+                session.set_params(pre["params"])
             else:
                 session.active.bottom = BottomModel.create(
                     dataset.schema_a, config.bottom_a,
@@ -684,7 +688,7 @@ def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
 
     def build():
         with session_factory() as session:
-            session.load(teacher["params"])
+            session.set_params(teacher["params"])
             return teacher_predict(
                 session.active, segment, batch_size=config.eval_batch, seed=config.seed,
             )
@@ -815,12 +819,14 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
     cache) automatically.
     """
     config.validate()
+    if dataset is None:
+        dataset = load_dataset(config)
+    if dataset.test is None:
+        raise ValidationError("the dataset has no test segment, on which every method is scored")
     ctx = context if context is not None else RunContext()
     # over TCP the passive peer's state flows from stage to stage in session
     # order, so federated stages cache only within this run
     fed_ctx = RunContext() if config.transport == "tcp" else ctx
-    if dataset is None:
-        dataset = load_dataset(config)
     t0 = time.perf_counter()
     sessions: list[FedSession] = []
     shared: list[FedSession] = []
@@ -983,8 +989,7 @@ def grid(config: ExperimentConfig, grid_spec: dict, seeds=(0, 1, 2)) -> GridResu
     return GridResult(method=config.method, best=best, best_val_auc=best_val, table=table)
 
 
-def serve_party_b(config: ExperimentConfig, host: str | None = None,
-                  port: int | None = None) -> None:
+def serve_party_b(config: ExperimentConfig) -> None:
     """Run the passive party: accept one active session and serve it.
 
     The peer must present the same schema and config hashes; a mismatch
@@ -992,7 +997,7 @@ def serve_party_b(config: ExperimentConfig, host: str | None = None,
     party runtime: only feature blocks are handed to it.
     """
     dataset = load_dataset(config)
-    server = tcp_listen(host or config.tcp_host, port or config.tcp_port)
+    server = tcp_listen(config.tcp_host, config.tcp_port)
     try:
         channel = tcp_accept(server, timeout=config.recv_timeout)
     finally:

@@ -115,7 +115,6 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     z64 = z.astype(F64, copy=False)
     y64 = y.astype(F64, copy=False)
     per_row = -(y64 * log_sigmoid(z64) + (1.0 - y64) * log_sigmoid(-z64))
-    m = z.shape[0]
     loss = float(per_row.sum() / per_row.size)
     grad = ((sigmoid(z64) - y64) / float(per_row.size)).astype(
         z.dtype if z.dtype in (F32, F64) else F64
@@ -332,14 +331,35 @@ class Mlp:
         return out
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        """Rebind parameter arrays by reference (shapes must match)."""
+        """Copy every layer's tensors in (see fit_params). A value of
+        another dtype replaces its array with a copy in that dtype."""
+        values = fit_params(mapping, self.params())
         for i, layer in enumerate(self.layers):
-            w = mapping[f"layer{i}.weight"]
-            b = mapping[f"layer{i}.bias"]
-            if w.shape != layer.weight.shape or b.shape != layer.bias.shape:
-                raise ShapeError(f"parameter shape mismatch for layer {i}")
-            layer.weight = w
-            layer.bias = b
+            for attr in ("weight", "bias"):
+                value, live = values[f"layer{i}.{attr}"], getattr(layer, attr)
+                if value.dtype == live.dtype:
+                    np.copyto(live, value)
+                else:
+                    setattr(layer, attr, value.copy())
+
+
+def fit_params(mapping: Mapping[str, np.ndarray],
+               current: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`mapping` in the shapes of `current`, whose tensors it must name
+    exactly; a 1-D tensor may come as the one row a checkpoint stores. A
+    missing or unknown name is a ValidationError and a wrong shape a
+    ShapeError, each naming the tensor."""
+    missing = sorted(current.keys() - mapping.keys())
+    unknown = sorted(mapping.keys() - current.keys())
+    if missing or unknown:
+        raise ValidationError(f"parameters do not fit: missing {missing}, unknown {unknown}")
+    out = {}
+    for name, value in mapping.items():
+        shape, value = current[name].shape, np.asarray(value)
+        if value.shape != shape and not (len(shape) == 1 and value.shape == (1, *shape)):
+            raise ShapeError(f"parameter '{name}' has shape {value.shape}, expected {shape}")
+        out[name] = value.reshape(shape)
+    return out
 
 
 @dataclass

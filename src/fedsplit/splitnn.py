@@ -47,6 +47,7 @@ from .numeric import (
     RowSparseGrad,
     adam_step,
     bce_loss,
+    fit_params,
     sigmoid,
 )
 from .transport import Channel, MsgType
@@ -153,7 +154,7 @@ class BottomModel:
     of its block; parameter names, checkpoints and values are those of
     separate tables. set_params copies into the views; a value of another
     dtype (the float64 shadow of `tests/oracles.grad_check`) first lays its
-    group out again in that dtype.
+    group out again in that dtype, as `Mlp.set_params` replaces an array.
     """
 
     def __init__(self, schema: PartySchema, embeddings: dict[str, EmbeddingTable], mlp: Mlp):
@@ -261,28 +262,15 @@ class BottomModel:
         return out
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        mlp_map = {}
-        emb_map = {}
-        for key, value in mapping.items():
-            if key.startswith("emb.") and key[4:] in self.embeddings:
-                emb_map[key[4:]] = value
-            elif key.startswith("mlp."):
-                mlp_map[key[4:]] = value
-            else:
-                raise ValidationError(f"unknown bottom parameter '{key}'")
+        values = fit_params(mapping, self.params())
         for group in self._groups:
-            values = [emb_map[name] for name in group.names if name in emb_map]
-            if values and np.result_type(*values) != group.block.table.dtype:
-                group.block.table = group.block.table.astype(np.result_type(*values))
+            dtype = np.result_type(*(values[f"emb.{name}"] for name in group.names))
+            if dtype != group.block.table.dtype:
+                group.block.table = group.block.table.astype(dtype)
                 self._bind(group)
-        for name, value in emb_map.items():
-            table = self.embeddings[name].table
-            np.copyto(table, value.reshape(table.shape))
-        if mlp_map:
-            current = self.mlp.params()
-            self.mlp.set_params(
-                {k: v.reshape(current[k].shape) for k, v in mlp_map.items()}
-            )
+        for name, table in self.embeddings.items():
+            np.copyto(table.table, values[f"emb.{name}"])
+        self.mlp.set_params(_strip(values, "mlp"))
 
 
 class TopModel:
@@ -314,8 +302,7 @@ class TopModel:
         return self.mlp.params()
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        current = self.mlp.params()
-        self.mlp.set_params({k: v.reshape(current[k].shape) for k, v in mapping.items()})
+        self.mlp.set_params(mapping)
 
 
 def _prefix(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -327,7 +314,28 @@ def _strip(mapping: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarr
     return {k[len(start):]: v for k, v in mapping.items() if k.startswith(start)}
 
 
-class LocalModel:
+class Composite:
+    """A holder of named parts, each with params() and set_params(), that
+    its parts() lists as {prefix: part} in order. params() names each part's
+    live tensors `<prefix>.<name>`. set_params copies in the parts a mapping
+    names, each in full, and checks all of them before it loads any.
+    """
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": value
+                for prefix, part in self.parts().items()
+                for name, value in part.params().items()}
+
+    def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
+        named = {key.split(".", 1)[0] for key in mapping}
+        fit_params(mapping, {k: v for k, v in self.params().items()
+                             if k.split(".", 1)[0] in named})
+        for prefix, part in self.parts().items():
+            if prefix in named:
+                part.set_params(_strip(mapping, prefix))
+
+
+class LocalModel(Composite):
     """Single-party model: one bottom plus a private top."""
 
     def __init__(self, bottom: BottomModel, top: TopModel):
@@ -359,19 +367,11 @@ class LocalModel:
         logits, _ = self.forward(block)
         return logits
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {**_prefix(self.bottom.params(), "bottom"), **_prefix(self.top.params(), "top")}
-
-    def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        bottom_map = _strip(mapping, "bottom")
-        top_map = _strip(mapping, "top")
-        if bottom_map:
-            self.bottom.set_params(bottom_map)
-        if top_map:
-            self.top.set_params(top_map)
+    def parts(self) -> dict:
+        return {"bottom": self.bottom, "top": self.top}
 
 
-class SplitModel:
+class SplitModel(Composite):
     """The federated triple (f_A, f_B, g_A), resident in one process.
 
     The protocol path lives in the party runtimes; this container exists for
@@ -402,23 +402,8 @@ class SplitModel:
         logits, _ = self.top.forward(np.hstack([h_a, h_b]))
         return logits
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            **_prefix(self.bottom_a.params(), "a"),
-            **_prefix(self.bottom_b.params(), "b"),
-            **_prefix(self.top.params(), "top"),
-        }
-
-    def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        a_map = _strip(mapping, "a")
-        b_map = _strip(mapping, "b")
-        top_map = _strip(mapping, "top")
-        if a_map:
-            self.bottom_a.set_params(a_map)
-        if b_map:
-            self.bottom_b.set_params(b_map)
-        if top_map:
-            self.top.set_params(top_map)
+    def parts(self) -> dict:
+        return {"a": self.bottom_a, "b": self.bottom_b, "top": self.top}
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +411,7 @@ class SplitModel:
 # ---------------------------------------------------------------------------
 
 
-class ActiveParty:
+class ActiveParty(Composite):
     """Label-holding party: bottom f_A, top g_A, and the training driver."""
 
     role = "active"
@@ -502,8 +487,7 @@ class ActiveParty:
     def apply_update(self, grads: Mapping[str, np.ndarray]) -> None:
         if self.optimizer is None:
             raise StateError("no optimizer configured (send a phase first)")
-        params = {**_prefix(self.top.params(), "top"), **_prefix(self.bottom.params(), "bottom")}
-        adam_step(self.optimizer, params, grads)
+        adam_step(self.optimizer, self.params(), grads)
 
     # -- phase / snapshot plumbing -------------------------------------------
     def start_phase(self, settings: TrainSettings, name: str) -> None:
@@ -518,12 +502,8 @@ class ActiveParty:
             },
         )
 
-    def my_params(self) -> dict[str, np.ndarray]:
-        return {**_prefix(self.bottom.params(), "bottom"), **_prefix(self.top.params(), "top")}
-
-    def set_my_params(self, mapping) -> None:
-        self.bottom.set_params(_strip(mapping, "bottom"))
-        self.top.set_params(_strip(mapping, "top"))
+    def parts(self) -> dict:
+        return {"bottom": self.bottom, "top": self.top}
 
 
 def save_passive_checkpoint(save_dir, tag: str, params: Mapping[str, np.ndarray],
@@ -670,7 +650,7 @@ class PassiveParty:
                     self._best = copy_params(self.bottom.params())
             elif cmd == "restore-best":
                 if self._best is not None:
-                    self.bottom.set_params(copy_params(self._best))
+                    self.bottom.set_params(self._best)
             elif cmd == "reinit":
                 self._handle_reinit(msg.meta)
             elif cmd == "save":
@@ -873,14 +853,14 @@ def train_supervised(
         )
 
     def restore(best):
-        active.set_my_params(best)
+        active.set_params(best)
         active.channel.send_new(MsgType.CONTROL, meta={"cmd": "restore-best"})
 
     return _epoch_loop(
         settings, train_rows, step,
         channel=active.channel, segment=train_segment, subset=subset,
         validate=validate if use_val else None,
-        snapshot=lambda: copy_params(active.my_params()), restore=restore,
+        snapshot=lambda: copy_params(active.params()), restore=restore,
         end_epoch=end_epoch,
     )
 

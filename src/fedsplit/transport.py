@@ -88,7 +88,11 @@ def _decode_meta(body: bytes) -> dict:
         raise ProtocolError(f"frame metadata is not UTF-8: {exc}") from None
     out = {}
     for line in text.split("\n"):
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ProtocolError(f"frame metadata line {line!r} has no '='")
+        if key in out:
+            raise ProtocolError(f"frame metadata gives key {key!r} twice")
         out[key] = value
     return out
 

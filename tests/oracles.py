@@ -70,14 +70,15 @@ def grad_check(
     shadow copy of the model.
 
     `model` must expose params() / set_params(). The shadow is what params()
-    returns after set_params of float64 copies (set_params binds a dense
-    layer's arrays by reference and lays an embedding group out again in
-    float64), so perturbing a shadow entry in place re-evaluates the model
-    at the perturbed point. `loss_fn(model)` must run a full forward and
-    backward pass and return (loss, grads_by_param_name); a row-sparse
-    embedding gradient is densified before the comparison. The analytic
-    gradients are taken from the same float64 evaluation, so the comparison
-    is free of float32 rounding.
+    returns after set_params of float64 copies (a value of another dtype
+    makes set_params replace a dense layer's array with a float64 copy and
+    lay an embedding group out again in float64), so perturbing a shadow
+    entry in place re-evaluates the model at the perturbed point.
+    `loss_fn(model)` must run a full forward and backward pass and return
+    (loss, grads_by_param_name); a row-sparse embedding gradient is
+    densified before the comparison. The analytic gradients are taken from
+    the same float64 evaluation, so the comparison is free of float32
+    rounding.
     """
     originals = dict(model.params())
     model.set_params({k: v.astype(F64) for k, v in originals.items()})

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsplit import cli as fedsplit_cli
+from fedsplit.checkpoint import save_checkpoint
 from fedsplit.data import SyntheticSpec
 from fedsplit.errors import FedSplitError
-from fedsplit.harness import CONFIG_KEYS
+from fedsplit.harness import CONFIG_KEYS, ExperimentConfig, load_dataset
+from fedsplit.splitnn import LocalModel, SplitModel, rng_for
 
 BASE_SETS = [
     "--set", "data.n_labeled=600",
@@ -101,6 +103,7 @@ class TestRunCommand:
         ("hyper.lr", "nan"), ("hyper.finetune_lr", "0"),
         ("hyper.k", "0"), ("hyper.l2", "-1"), ("arch.bottom_b", "0"),
         ("hyper.patience", "-1"), ("hyper.pretrain_epochs", "0"), ("hyper.eval_batch", "1"),
+        ("exec.tcp_port", "0"), ("exec.tcp_port", "70000"),
     ])
     def test_out_of_range_value_exits_with_its_key(self, key, value):
         proc = cli("run", "--method", "vfl", "--set", f"{key}={value}")
@@ -156,6 +159,78 @@ class TestParseErrors:
         assert fedsplit_cli.main([*args, "--method", "vfl"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+
+def main_error(capsys, *args):
+    """The in-process CLI's exit code and stderr for args."""
+    code = fedsplit_cli.main(list(args))
+    return code, capsys.readouterr().err
+
+
+CSV_SETS = ["--set", "data.kind=csv"] + [
+    item for key in ("schema_a", "schema_b", "labeled_a", "labeled_b")
+    for item in ("--set", f"data.csv_{key}=/nonexistent/{key}")
+]
+
+
+class TestInputErrors:
+    """A bad address, a missing file or a checkpoint of another shape exits
+    2 with one "error: ..." line, never a traceback."""
+
+    @pytest.mark.parametrize("port", ["0", "70000"])
+    def test_serve_b_port_out_of_range_names_the_key(self, capsys, port):
+        code, err = main_error(capsys, "serve-b", "--port", port, *BASE_SETS)
+        assert code == 2 and err.startswith("error: ") and "exec.tcp_port" in err
+
+    def test_serve_b_on_a_port_in_use(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            code, err = main_error(capsys, "serve-b", "--host", "127.0.0.1",
+                                   "--port", str(port), *BASE_SETS)
+        assert code == 2 and err.startswith("error: ")
+
+    def test_missing_schema_file(self, capsys):
+        code, err = main_error(capsys, "run", "--method", "baseline-local", *CSV_SETS)
+        assert code == 2 and err.startswith("error: ") and "/nonexistent/schema_a" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, err = main_error(capsys, "run", "--config", str(tmp_path / "none.ini"))
+        assert code == 2 and err.startswith("error: ") and "none.ini" in err
+
+    @pytest.mark.parametrize("sets, named", [
+        (["--set", "data.kind=csv"], "data.csv_schema_a"),
+        (CSV_SETS[:-2], "data.csv_labeled_b"),
+        (CSV_SETS + ["--set", "data.csv_test_a=t.csv"], "data.csv_test_b"),
+        (CSV_SETS + ["--set", "data.csv_unlabeled_b=u.csv"], "data.csv_unlabeled_a"),
+        (CSV_SETS + ["--set", "data.csv_tset_a=t.csv"], "data.csv_tset_a"),
+    ], ids=["no-paths", "no-labeled-b", "half-test", "half-unlabeled", "misspelled"])
+    def test_csv_paths_are_checked_up_front(self, capsys, sets, named):
+        code, err = main_error(capsys, "run", "--method", "vfl", *sets)
+        assert code == 2 and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", [["run", "--method", "baseline-local"],
+                                         ["eval", "--checkpoint", "unread.ckpt"]],
+                             ids=["run", "eval"])
+    def test_without_a_test_segment(self, capsys, command):
+        code, err = main_error(capsys, *command, *BASE_SETS, "--set", "data.n_test=0")
+        assert code == 2 and err.startswith("error: ") and "test segment" in err
+
+    @pytest.mark.parametrize("kind", ["local", "split"])
+    @pytest.mark.parametrize("bottom, top", [((3,), (4,)), ((8,), (2,)), ((8, 8), (4,))],
+                             ids=["narrower-bottom", "narrower-top", "deeper-bottom"])
+    def test_eval_of_a_checkpoint_of_other_widths(self, capsys, tmp_path, kind, bottom, top):
+        config = ExperimentConfig.from_flat(dict(item.split("=", 1) for item in BASE_SETS[1::2]))
+        dataset = load_dataset(config)
+        if kind == "local":
+            model = LocalModel.create(dataset.schema_a, bottom, top, rng_for(0, 1))
+        else:
+            model = SplitModel.create(dataset.schema_a, dataset.schema_b, bottom, bottom, top, 0)
+        save_checkpoint(tmp_path / "other.ckpt", model.params(), "")
+        code, err = main_error(capsys, "eval", "--checkpoint", str(tmp_path / "other.ckpt"),
+                               *BASE_SETS)
+        assert code == 2 and err.startswith("error: ") and "layer" in err
 
 
 _set_keys = sorted(CONFIG_KEYS.values()) + [f"data.{f.name}" for f in fields(SyntheticSpec)]

@@ -149,9 +149,9 @@ class TestDistill:
         train_supervised(active, TrainSettings(lr=1e-2, l2=1e-4, batch_size=256,
                                                epochs=5, patience=None, seed=seed,
                                                stage="fed"))
-        before = params_checksum(active.my_params())
+        before = params_checksum(active.params())
         cache = teacher_predict(active, "labeled", batch_size=512)
-        after = params_checksum(active.my_params())
+        after = params_checksum(active.params())
         active.channel.send_new(MsgType.BYE)
         thread.join()
         assert before == after  # prediction never modifies the teacher

@@ -295,7 +295,7 @@ class TestAdamMatchesReference:
                     rng.integers(0, 16, size=7), rng.normal(size=(7, 3)).astype(dtype))
             before = {k: raw(g) for k, g in grads.items()}
             if step == 12:
-                # restore-best and set_params rebind a name to a new array
+                # a caller may rebind a name to a new array between steps
                 fresh = rng.normal(size=shapes["w"]).astype(dtype)
                 p_ours["w"], p_ref["w"] = fresh.copy(), fresh.copy()
             adam_step(ours, p_ours, grads)
@@ -335,7 +335,7 @@ class TestAdamMatchesReference:
                 g = dense_grad(g)
             w_grad = rng.normal(size=(4, 2)).astype(dtype)
             if step == 12:
-                # restore-best and set_params rebind a name to a new array
+                # a caller may rebind a name to a new array between steps
                 fresh = rng.normal(size=shape).astype(dtype)
                 p_ours["emb"], p_ref["emb"] = fresh.copy(), fresh.copy()
             adam_step(ours, p_ours, {"emb": g, "w": w_grad})

@@ -1,6 +1,9 @@
 """Split protocol: single-step ops, monolith equivalence, trainers, privacy."""
 
+import re
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from fedsplit.data import (
     SyntheticSpec,
     synth_federated,
 )
-from fedsplit.errors import FedSplitError, ProtocolError, StateError, ValidationError
+from fedsplit.checkpoint import load_checkpoint, save_checkpoint
+from fedsplit.errors import FedSplitError, ProtocolError, ShapeError, StateError, ValidationError
 from fedsplit.metrics import auc
 from fedsplit.numeric import (
     DENSE_TABLE_ROWS,
@@ -370,7 +374,7 @@ class TestTrainers:
         active.channel.send_new(MsgType.BYE)
         thread.join()
         assert any(r.extra.get("diverged") for r in history.records)
-        for value in active.my_params().values():
+        for value in active.params().values():
             assert np.all(np.isfinite(value))
 
 
@@ -688,6 +692,76 @@ class TestGroupedEmbeddings:
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
         assert sorted(ours.live) == ["bottom.emb.id"]
+
+
+# small random schemas (unique field names), widths and model kinds for the
+# one load rule of LocalModel and SplitModel
+_fields = st.lists(
+    st.one_of(
+        st.just(("numerical", 0, 0)),
+        st.tuples(st.just("categorical"), st.integers(2, 9), st.integers(1, 3)),
+    ),
+    min_size=1, max_size=4,
+)
+_widths = st.lists(st.integers(1, 5), min_size=1, max_size=2)
+
+
+def random_schema(party, fields):
+    return PartySchema(party=party, fields=tuple(
+        FieldSpec(f"f{j}", kind) if kind == "numerical"
+        else FieldSpec(f"f{j}", kind, buckets=buckets, embed_dim=dim)
+        for j, (kind, buckets, dim) in enumerate(fields)
+    ))
+
+
+def random_model(kind, fields_a, fields_b, widths_a, widths_b, top_widths, seed):
+    schema_a = random_schema("A", fields_a)
+    if kind == "local":
+        return LocalModel.create(schema_a, widths_a, top_widths, rng_for(seed, 1))
+    return SplitModel.create(schema_a, random_schema("B", fields_b), widths_a, widths_b,
+                             top_widths, seed)
+
+
+def tensor_bytes(model):
+    return {name: (v.dtype, v.shape, v.tobytes()) for name, v in model.params().items()}
+
+
+class TestOneLoadRule:
+    @given(kind=st.sampled_from(["local", "split"]), fields_a=_fields, fields_b=_fields,
+           widths_a=_widths, widths_b=_widths,
+           top_widths=st.lists(st.integers(1, 4), max_size=2),
+           seed=st.integers(0, 2**16), fault=st.sampled_from(["drop", "resize", "no-part"]),
+           pick=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_checkpoint_round_trip_and_typed_refusals(
+            self, kind, fields_a, fields_b, widths_a, widths_b, top_widths, seed, fault, pick):
+        args = (kind, fields_a, fields_b, widths_a, widths_b, top_widths)
+        model = random_model(*args, seed)
+        fresh = random_model(*args, seed + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, model.params(), "schema")
+            loaded, _, _ = load_checkpoint(path)
+        fresh.set_params(loaded)
+        assert tensor_bytes(fresh) == tensor_bytes(model)
+        for value in loaded.values():
+            value += 1.0  # the model holds copies, not the checkpoint's arrays
+        assert tensor_bytes(fresh) == tensor_bytes(model)
+
+        other = random_model(*args, seed + 2)
+        bad = other.params()
+        name = sorted(bad)[pick % len(bad)]
+        if fault == "drop":
+            del bad[name]
+        elif fault == "resize":
+            bad[name] = np.concatenate([bad[name], bad[name][:1]])
+        else:
+            name = f"{name.split('.')[0]}x.{name}"
+            bad[name] = np.zeros(1, F32)
+        before = tensor_bytes(fresh)
+        with pytest.raises((ShapeError, ValidationError), match=re.escape(name)):
+            fresh.set_params(bad)
+        assert tensor_bytes(fresh) == before
 
 
 def control_passive():

@@ -68,9 +68,10 @@ class TestFrameFormat:
         assert raw[22:] == np.array([1.0], dtype="<f4").tobytes()
 
     def test_meta_round_trip(self):
-        raw = frame_of(MsgType.HELLO, meta={"schema_hash": "abc", "role": "active"})
+        meta = {"schema_hash": "abc", "role": "active", "eq": "a=b", "empty": ""}
+        raw = frame_of(MsgType.HELLO, meta=meta)
         msg = decode_frame(raw[:22], raw[22:])
-        assert msg.meta == {"schema_hash": "abc", "role": "active"}
+        assert msg.meta == meta
         assert msg.payload is None
 
     def test_payloadless_frame_has_zero_dims(self):
@@ -468,3 +469,14 @@ def test_decode_frame_on_arbitrary_bytes_decodes_or_raises_typed(header, body):
         assert msg.payload.dtype == F32 and msg.payload.nbytes == len(body)
     else:
         assert msg.payload is None and isinstance(msg.meta, dict)
+
+
+@pytest.mark.parametrize("body, match", [
+    (b"cmd=epoch\ncmd=phase", "'cmd' twice"),
+    (b"cmd=epoch\nsegment", "has no '='"),
+    (b"cmd", "has no '='"),
+    (b"cmd=epoch\n", "has no '='"),
+], ids=["repeated-key", "line-without-eq", "only-line-without-eq", "trailing-newline"])
+def test_malformed_metadata_lines_are_protocol_errors(body, match):
+    with pytest.raises(ProtocolError, match=match):
+        decode_frame(claimed_header(MsgType.CONTROL, 0, len(body)), body)
