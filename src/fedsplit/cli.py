@@ -10,7 +10,9 @@
 Every subcommand takes --config (INI file) plus repeated --set section.key=value
 overrides; --transport, --seed, --method, --out (and serve-b's --host and
 --port) are shortcuts for common keys. A package error or a file that cannot
-be read or bound exits 2 with "error: ..." on stderr.
+be read, decoded or bound exits 2 with one "error: ..." line on stderr.
+synth writes the layout load_csv reads (data.write_csv); eval refuses a
+checkpoint that lacks a tensor of the model it scores.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import PartitionedDataset
+from .data import write_csv
 from .errors import FedSplitError, ValidationError
 from .harness import (
     CONFIG_KEYS,
@@ -79,43 +81,9 @@ def _cmd_synth(args) -> int:
     config = _config_from(args)
     dataset = load_dataset(config)
     out = Path(args.out or config.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv_pair(dataset, out, config.label_column)
+    write_csv(dataset, out, config.label_column)
     print(f"wrote synthetic CSV pairs and schemas under {out}")
     return 0
-
-
-def _write_csv_pair(dataset: PartitionedDataset, out: Path, label_column: str) -> None:
-    import csv as csv_mod
-
-    def dump(path, schema, block, y=None):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv_mod.writer(fh)
-            names = [f.name for f in schema.fields]
-            writer.writerow(names + ([label_column] if y is not None else []))
-            cat_j = {f.name: j for j, f in enumerate(schema.cat_fields)}
-            num_j = {f.name: j for j, f in enumerate(schema.num_fields)}
-            for i in range(block.n_rows):
-                row = []
-                for f in schema.fields:
-                    if f.kind == "categorical":
-                        row.append(str(int(block.cat[i, cat_j[f.name]])))
-                    else:
-                        row.append(repr(float(block.num[i, num_j[f.name]])))
-                if y is not None:
-                    row.append(str(int(y[i])))
-                writer.writerow(row)
-
-    (out / "schema_a.txt").write_text(dataset.schema_a.canonical_text(), encoding="utf-8")
-    (out / "schema_b.txt").write_text(dataset.schema_b.canonical_text(), encoding="utf-8")
-    dump(out / "labeled_a.csv", dataset.schema_a, dataset.labeled.a, dataset.labeled.y)
-    dump(out / "labeled_b.csv", dataset.schema_b, dataset.labeled.b)
-    if dataset.unlabeled is not None:
-        dump(out / "unlabeled_a.csv", dataset.schema_a, dataset.unlabeled.a)
-        dump(out / "unlabeled_b.csv", dataset.schema_b, dataset.unlabeled.b)
-    if dataset.test is not None:
-        dump(out / "test_a.csv", dataset.schema_a, dataset.test.a, dataset.test.y)
-        dump(out / "test_b.csv", dataset.schema_b, dataset.test.b)
 
 
 def _cmd_pretrain(args) -> int:
@@ -159,21 +127,25 @@ def _cmd_eval(args) -> int:
     if dataset.test is None:
         raise ValidationError("the dataset has no test segment to score")
     params, _, meta = load_checkpoint(args.checkpoint)
-    names = set(params)
-    if any(name.startswith("b.") for name in names):
+    if any(name.startswith(("a.", "b.")) for name in params):
         model = SplitModel.create(
             dataset.schema_a, dataset.schema_b,
             config.bottom_a, config.bottom_b, config.top, config.seed,
         )
-        model.set_params(params)
-        scores = sigmoid(model.predict_logits(dataset.test.a, dataset.test.b))
+        blocks = (dataset.test.a, dataset.test.b)
     else:
         model = LocalModel.create(
             dataset.schema_a, config.bottom_a, config.top,
             rng_for(config.seed, STREAM_INIT_LOCAL_A),
         )
-        model.set_params(params)
-        scores = sigmoid(model.predict_logits(dataset.test.a))
+        blocks = (dataset.test.a,)
+    missing = sorted(model.params().keys() - params.keys())
+    if missing:
+        where = (" (party B's bottom of a TCP run is in its own party_b_<stage>.ckpt)"
+                 if any(name.startswith("b.") for name in missing) else "")
+        raise ValidationError(f"{args.checkpoint} lacks {missing}{where}")
+    model.set_params(params)
+    scores = sigmoid(model.predict_logits(*blocks))
     result = auc(scores, dataset.test.y)
     print(json.dumps({
         "test_auc": result.auc, "n_pos": result.n_pos, "n_neg": result.n_neg,

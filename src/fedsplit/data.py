@@ -4,11 +4,13 @@ aligned per-party segments, and synthetic dataset generators.
 Two parties hold different feature columns of the same samples, aligned by
 row index. Categorical values are hashed with FNV-1a-64 (salted by field
 name) into a fixed number of buckets; numericals are standardized with
-statistics of the labeled segment only. CSV ingest encodes each segment
-once and hashes each distinct value once per field and segment, which gives
-the same bucket indices as hashing every cell. Encoded rows are carried as a
-FeatureBlock: an int64 index matrix for the categorical fields plus a
-float32 matrix for the numerical fields, columns in schema order.
+statistics of the labeled segment only. One reader takes every party file
+of every segment: it checks the header and cell counts, then encodes the
+file once, hashing each distinct value once per field, which gives the same
+bucket indices as hashing every cell. write_csv writes the same file layout
+that load_csv reads. Encoded rows are carried as a FeatureBlock: an int64
+index matrix for the categorical fields plus a float32 matrix for the
+numerical fields, columns in schema order.
 """
 
 from __future__ import annotations
@@ -139,7 +141,11 @@ def parse_schema(text: str, party: str) -> PartySchema:
 
 
 def load_schema(path, party: str) -> PartySchema:
-    return parse_schema(Path(path).read_text(encoding="utf-8"), party)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: schema file is not UTF-8: {exc}") from None
+    return parse_schema(text, party)
 
 
 def hash_feature(field_spec: FieldSpec, raw: str) -> int:
@@ -282,45 +288,6 @@ def _compute_stats(values: np.ndarray) -> NumericalStats:
     return NumericalStats(mean=mean.astype(F32), std=std)
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        rows = [row for row in reader]
-    return header, rows
-
-
-def _raw_columns(path, schema: PartySchema, label_column: str | None):
-    """Read a CSV and return per-field raw string columns (+ labels)."""
-    header, rows = _read_table(path)
-    wanted = {f.name for f in schema.fields}
-    if label_column is not None:
-        wanted = wanted | {label_column}
-    for col in header:
-        if col not in wanted:
-            raise SchemaError(f"{path}: unknown column '{col}'")
-    col_index = {name: i for i, name in enumerate(header)}
-    for f in schema.fields:
-        if f.name not in col_index:
-            raise SchemaError(f"{path}: missing column '{f.name}'")
-    if label_column is not None and label_column not in col_index:
-        raise SchemaError(f"{path}: missing label column '{label_column}'")
-    n_cols = len(header)
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != n_cols:
-            raise SchemaError(f"{path}: line {lineno} has {len(row)} cells, expected {n_cols}")
-    columns = {
-        f.name: [row[col_index[f.name]] for row in rows] for f in schema.fields
-    }
-    labels = None
-    if label_column is not None:
-        labels = [row[col_index[label_column]] for row in rows]
-    return columns, labels, len(rows)
-
-
 def _parse_labels(raw: list[str]) -> tuple[np.ndarray, list[int]]:
     """Parse 0/1 labels; return values plus 1-based data line numbers of
     rows whose label could not be parsed (those rows are rejected)."""
@@ -339,13 +306,40 @@ def _parse_labels(raw: list[str]) -> tuple[np.ndarray, list[int]]:
     return values, bad
 
 
-def _encode(
-    schema: PartySchema, columns: dict[str, list[str]], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hash the categorical columns and parse the numerical ones; returns the
-    int64 bucket-index matrix and the raw float64 numerical matrix (NaN for
-    an empty cell). Each distinct value of a column is hashed once, which
-    gives the same indices as hashing every cell."""
+def _read_party(path, schema: PartySchema, label_column: str | None):
+    """Read and encode one party's CSV file of a segment. The header must
+    name exactly the schema fields (and `label_column`, if given), in any
+    order, and every row have as many cells. Returns the int64 bucket
+    indices and the raw float64 numericals (NaN for an empty cell), both in
+    schema order, and the raw label cells (None without a label column)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file, header row required")
+    wanted = [f.name for f in schema.fields]
+    if label_column is not None:
+        wanted.append(label_column)
+    for col in header:
+        if col not in wanted:
+            raise SchemaError(f"{path}: unknown column '{col}'")
+    for col in wanted:
+        if col not in header:
+            kind = "label column" if col == label_column else "column"
+            raise SchemaError(f"{path}: missing {kind} '{col}'")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+    n = len(rows)
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    del rows  # the cells live on in the columns
+
     cat = np.zeros((n, len(schema.cat_fields)), dtype=np.int64)
     for j, f in enumerate(schema.cat_fields):
         col = columns[f.name]
@@ -361,10 +355,10 @@ def _encode(
                 parsed.append(float(cell) if cell != "" else math.nan)
             except ValueError:
                 raise ValidationError(
-                    f"field '{f.name}' line {i + 2}: not a number: '{cell}'"
+                    f"{path}: field '{f.name}' line {i + 2}: not a number: '{cell}'"
                 ) from None
         raw_num[:, j] = parsed
-    return cat, raw_num
+    return cat, raw_num, columns.get(label_column)
 
 
 def _standardize(
@@ -395,59 +389,82 @@ def load_csv(
     optional (path_a, path_b) pairs. Rows correspond by line number; a
     row-count mismatch within a segment is an alignment error. The label
     column lives only in party A's labeled/test files. Rows whose label
-    does not parse as 0/1 are dropped from both parties and their data line
-    numbers recorded in rejected_lines. Numerical standardization uses the
+    does not parse as 0/1 are dropped from both parties of the labeled
+    segment and their data line numbers recorded in rejected_lines; in the
+    test segment they are an error. Numerical standardization uses the
     labeled segment's statistics for every segment.
 
-    Each file is parsed and encoded once, and each distinct categorical
-    value is hashed once per field and segment; the bucket indices equal
-    those of hashing every cell with hash_feature.
+    Every file goes through one per-party reader that hashes each distinct
+    categorical value once per field; the bucket indices equal those of
+    hashing every cell with hash_feature.
     """
-    cols_a, labels_raw, n_a = _raw_columns(path_a, schema_a, label_column)
-    cols_b, _, n_b = _raw_columns(path_b, schema_b, None)
-    if n_a != n_b:
-        raise AlignmentError(
-            f"labeled segment: party A has {n_a} rows, party B has {n_b} rows"
-        )
-    y, bad_lines = _parse_labels(labels_raw)
-    rejected = set(bad_lines)
-    keep = np.array([i for i in range(n_a) if (i + 2) not in rejected], dtype=np.int64)
 
-    cat_a, raw_num_a = _encode(schema_a, cols_a, n_a)
-    cat_b, raw_num_b = _encode(schema_b, cols_b, n_b)
-    stats_a = _compute_stats(raw_num_a[keep])
-    stats_b = _compute_stats(raw_num_b[keep])
-    block_a = _standardize(cat_a, raw_num_a, stats_a)
-    block_b = _standardize(cat_b, raw_num_b, stats_b)
-    labeled = Segment(a=block_a.take(keep), b=block_b.take(keep), y=y[keep])
-
-    def _load_pair(pair, with_labels: bool):
-        ca, lab, na = _raw_columns(pair[0], schema_a, label_column if with_labels else None)
-        cb, _, nb = _raw_columns(pair[1], schema_b, None)
-        if na != nb:
+    def read(name, pair, labels: bool):
+        a = _read_party(pair[0], schema_a, label_column if labels else None)
+        b = _read_party(pair[1], schema_b, None)
+        if len(a[0]) != len(b[0]):
             raise AlignmentError(
-                f"segment {pair[0]}: party A has {na} rows, party B has {nb} rows"
+                f"{name} segment ({pair[0]}): party A has {len(a[0])} rows, "
+                f"party B has {len(b[0])} rows"
             )
-        ba = _standardize(*_encode(schema_a, ca, na), stats_a)
-        bb = _standardize(*_encode(schema_b, cb, nb), stats_b)
-        yy = None
-        if with_labels:
-            yv, bad = _parse_labels(lab)
-            if bad:
-                raise ValidationError(f"unparseable labels at lines {bad} in {pair[0]}")
-            yy = yv
-        return Segment(a=ba, b=bb, y=yy)
+        return a, b
 
-    unlabeled_seg = _load_pair(unlabeled, with_labels=False) if unlabeled else None
-    test_seg = _load_pair(test, with_labels=True) if test else None
-    return PartitionedDataset(
+    def segment(parties, y, rows=slice(None)):
+        (cat_a, num_a, _), (cat_b, num_b, _) = parties
+        return Segment(a=_standardize(cat_a[rows], num_a[rows], stats_a),
+                       b=_standardize(cat_b[rows], num_b[rows], stats_b), y=y)
+
+    labeled = read("labeled", (path_a, path_b), labels=True)
+    (_, num_a, labels), (_, num_b, _) = labeled
+    y, bad_lines = _parse_labels(labels)
+    keep = np.flatnonzero(~np.isnan(y))
+    stats_a, stats_b = _compute_stats(num_a[keep]), _compute_stats(num_b[keep])
+    dataset = PartitionedDataset(
         schema_a=schema_a,
         schema_b=schema_b,
-        labeled=labeled,
-        unlabeled=unlabeled_seg,
-        test=test_seg,
+        labeled=segment(labeled, y[keep], keep),
         rejected_lines=tuple(bad_lines),
     )
+    if unlabeled:
+        dataset.unlabeled = segment(read("unlabeled", unlabeled, labels=False), None)
+    if test:
+        parties = read("test", test, labels=True)
+        y_test, bad = _parse_labels(parties[0][2])
+        if bad:
+            raise ValidationError(f"unparseable labels at lines {bad} in {test[0]}")
+        dataset.test = segment(parties, y_test)
+    return dataset
+
+
+def write_csv(dataset: PartitionedDataset, out, label_column: str) -> None:
+    """Write `dataset` under directory `out` in the layout load_csv reads:
+    schema_a.txt and schema_b.txt, then <segment>_a.csv and <segment>_b.csv
+    for each present segment. Columns are in schema order, and party A's
+    labeled and test files end with the label column. A categorical cell is
+    the bucket index, a numerical one the float's repr."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for party, schema in (("a", dataset.schema_a), ("b", dataset.schema_b)):
+        (out / f"schema_{party}.txt").write_text(schema.canonical_text(), encoding="utf-8")
+
+    def dump(path, schema, block, y=None):
+        cat, num = iter(block.cat.T.tolist()), iter(block.num.T.tolist())
+        columns = [[str(v) for v in next(cat)] if f.kind == CATEGORICAL
+                   else [repr(v) for v in next(num)] for f in schema.fields]
+        header = [f.name for f in schema.fields]
+        if y is not None:
+            header.append(label_column)
+            columns.append([str(int(v)) for v in y.tolist()])
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+
+    for name in ("labeled", "unlabeled", "test"):
+        segment = getattr(dataset, name)
+        if segment is not None:
+            dump(out / f"{name}_a.csv", dataset.schema_a, segment.a, segment.y)
+            dump(out / f"{name}_b.csv", dataset.schema_b, segment.b)
 
 
 # ---------------------------------------------------------------------------
@@ -585,47 +602,30 @@ def synth_federated(spec: SyntheticSpec, seed: int) -> PartitionedDataset:
     y = (rng_y.random(n_total) < posterior).astype(F32)
 
     if spec.buckets:
-        codes_a = _quantize_codes(x_a, spec.buckets)
-        codes_b = _quantize_codes(x_b, spec.buckets)
         schema_a = _categorical_schema("A", spec.d_a, spec.buckets, spec.embed_dim)
         schema_b = _categorical_schema("B", spec.d_b, spec.buckets, spec.embed_dim)
-
-        def _segment(lo_i: int, hi_i: int, with_y: bool) -> Segment:
-            sl = slice(lo_i, hi_i)
-            a = FeatureBlock(cat=codes_a[sl], num=np.zeros((hi_i - lo_i, 0), dtype=F32))
-            b = FeatureBlock(cat=codes_b[sl], num=np.zeros((hi_i - lo_i, 0), dtype=F32))
-            return Segment(a=a, b=b, y=y[sl] if with_y else None)
-
+        cat_a, cat_b = _quantize_codes(x_a, spec.buckets), _quantize_codes(x_b, spec.buckets)
+        num_a = num_b = np.zeros((n_total, 0), dtype=F32)
     else:
         schema_a = _numeric_schema("A", spec.d_a)
         schema_b = _numeric_schema("B", spec.d_b)
-
-        def _segment(lo_i: int, hi_i: int, with_y: bool) -> Segment:
-            sl = slice(lo_i, hi_i)
-            a = FeatureBlock(cat=np.zeros((hi_i - lo_i, 0), dtype=np.int64),
-                             num=x_a[sl].astype(F32))
-            b = FeatureBlock(cat=np.zeros((hi_i - lo_i, 0), dtype=np.int64),
-                             num=x_b[sl].astype(F32))
-            return Segment(a=a, b=b, y=y[sl] if with_y else None)
+        cat_a = cat_b = np.zeros((n_total, 0), dtype=np.int64)
+        num_a, num_b = x_a.astype(F32), x_b.astype(F32)
 
     n_l, n_u = spec.n_labeled, spec.n_unlabeled
-    dataset = PartitionedDataset(
-        schema_a=schema_a,
-        schema_b=schema_b,
-        labeled=_segment(0, n_l, True),
-        unlabeled=_segment(n_l, n_l + n_u, False) if n_u else None,
-        test=_segment(n_l + n_u, n_total, True) if spec.n_test else None,
-    )
-    for name, lo_i, hi_i in (
-        ("labeled", 0, n_l),
-        ("unlabeled", n_l, n_l + n_u),
-        ("test", n_l + n_u, n_total),
+    segments, truth = {}, {}
+    for name, sl in (
+        ("labeled", slice(0, n_l)),
+        ("unlabeled", slice(n_l, n_l + n_u)),
+        ("test", slice(n_l + n_u, n_total)),
     ):
-        if hi_i > lo_i:
-            dataset.truth[name] = {
-                "t_a": t_a[lo_i:hi_i],
-                "t_b": t_b[lo_i:hi_i],
-                "posterior": posterior[lo_i:hi_i],
-            }
-    return dataset
+        if sl.stop > sl.start or name == "labeled":
+            segments[name] = Segment(
+                a=FeatureBlock(cat=cat_a[sl], num=num_a[sl]),
+                b=FeatureBlock(cat=cat_b[sl], num=num_b[sl]),
+                y=None if name == "unlabeled" else y[sl],
+            )
+        if sl.stop > sl.start:
+            truth[name] = {"t_a": t_a[sl], "t_b": t_b[sl], "posterior": posterior[sl]}
+    return PartitionedDataset(schema_a=schema_a, schema_b=schema_b, **segments, truth=truth)
 

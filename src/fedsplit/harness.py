@@ -226,13 +226,18 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-        flat = {
-            f"{section}.{key}": value
-            for section in parser.sections()
-            for key, value in parser[section].items()
-        }
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+            flat = {
+                f"{section}.{key}": value
+                for section in parser.sections()
+                for key, value in parser[section].items()
+            }
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            # configparser's messages span lines; the CLI prints one
+            detail = " ".join(str(exc).split())
+            raise ValidationError(f"{path}: unreadable config file: {detail}") from None
         flat.update(overrides or {})
         return cls.from_flat(flat)
 

@@ -414,8 +414,6 @@ class SplitModel(Composite):
 class ActiveParty(Composite):
     """Label-holding party: bottom f_A, top g_A, and the training driver."""
 
-    role = "active"
-
     def __init__(self, channel: Channel, bottom: BottomModel, top: TopModel,
                  dataset: PartitionedDataset | None = None):
         self.channel = channel
@@ -552,8 +550,6 @@ class PassiveParty:
     Holds no labels and no top model; the only state it mutates in response
     to the active party is its own bottom and optimizer.
     """
-
-    role = "passive"
 
     def __init__(self, channel: Channel, bottom: BottomModel,
                  blocks: dict[str, FeatureBlock], *, save_dir=None):

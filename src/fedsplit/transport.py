@@ -221,17 +221,10 @@ class Channel:
 
     # -- public API ---------------------------------------------------------
     def send(self, msg: ProtocolMessage) -> int:
-        if msg.round is None:
-            self._send_round += 1
-            msg.round = self._send_round
-        elif msg.round <= self._send_round:
-            raise ProtocolError(
-                f"send round {msg.round} not greater than last {self._send_round}"
-            )
-        else:
-            self._send_round = msg.round
+        self._send_round += 1
+        msg.round = self._send_round
         data = encode_frame(msg)
-        self._record("send", msg, data)
+        self._record("send", msg, memoryview(data)[_HEADER.size:])
         self._write(data)
         return msg.round
 
@@ -249,7 +242,7 @@ class Channel:
                 f"out-of-order round {msg.round} (last seen {self._recv_round})"
             )
         self._recv_round = msg.round
-        self._record("recv", msg, header + body)
+        self._record("recv", msg, body)
         return msg
 
     def expect(self, msg_type: MsgType, timeout: float | None = None) -> ProtocolMessage:
@@ -258,13 +251,10 @@ class Channel:
             raise ProtocolError(f"expected {msg_type.name}, got {msg.msg_type.name}")
         return msg
 
-    def _record(self, direction: str, msg: ProtocolMessage, data: bytes) -> None:
-        if msg.payload is not None:
-            rows, cols = msg.payload.shape
-            digest_src = np.ascontiguousarray(msg.payload, dtype="<f4").tobytes()
-        else:
-            rows, cols = 0, 0
-            digest_src = _encode_meta(msg.meta)
+    def _record(self, direction: str, msg: ProtocolMessage, body) -> None:
+        """Log the frame with the digest of its body (the float32 matrix or
+        the metadata block) and count its bytes, header included."""
+        rows, cols = (0, 0) if msg.payload is None else msg.payload.shape
         self.transcript.append(
             TranscriptEntry(
                 direction=direction,
@@ -272,11 +262,11 @@ class Channel:
                 round=msg.round,
                 rows=rows,
                 cols=cols,
-                digest=hashlib.sha256(digest_src).hexdigest()[:16],
+                digest=hashlib.sha256(body).hexdigest()[:16],
                 meta=dict(msg.meta) if msg.payload is None else None,
             )
         )
-        self.counters.count(direction, msg.msg_type, len(data))
+        self.counters.count(direction, msg.msg_type, _HEADER.size + len(body))
 
 
 class InProcChannel(Channel):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedsplit import cli as fedsplit_cli
 from fedsplit.checkpoint import save_checkpoint
-from fedsplit.data import SyntheticSpec
+from fedsplit.data import SyntheticSpec, synth_federated, write_csv
 from fedsplit.errors import FedSplitError
 from fedsplit.harness import CONFIG_KEYS, ExperimentConfig, load_dataset
 from fedsplit.splitnn import LocalModel, SplitModel, rng_for
@@ -231,6 +231,55 @@ class TestInputErrors:
         code, err = main_error(capsys, "eval", "--checkpoint", str(tmp_path / "other.ckpt"),
                                *BASE_SETS)
         assert code == 2 and err.startswith("error: ") and "layer" in err
+
+    @pytest.mark.parametrize("keep, named", [(("top.",), "bottom."), (("a.", "top."), "party_b_")],
+                             ids=["top-only", "no-party-b"])
+    def test_eval_refuses_an_incomplete_checkpoint(self, capsys, tmp_path, keep, named):
+        # a TCP run's final.ckpt holds a.* and top.*; B's bottom stays with party B
+        config = ExperimentConfig.from_flat(dict(item.split("=", 1) for item in BASE_SETS[1::2]))
+        dataset = load_dataset(config)
+        model = SplitModel.create(dataset.schema_a, dataset.schema_b, config.bottom_a,
+                                  config.bottom_b, config.top, config.seed)
+        params = {k: v for k, v in model.params().items() if k.startswith(keep)}
+        save_checkpoint(tmp_path / "part.ckpt", params, "")
+        code, err = main_error(capsys, "eval", "--checkpoint", str(tmp_path / "part.ckpt"),
+                               *BASE_SETS)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "part.ckpt" in err and named in err
+
+    @pytest.fixture
+    def csv_sets(self, tmp_path):
+        """--set items naming a small labeled+test CSV dataset under tmp_path."""
+        write_csv(synth_federated(SyntheticSpec(n_labeled=40, n_unlabeled=0, n_test=40,
+                                                d_a=2, d_b=2, buckets=4), seed=0),
+                  tmp_path, "label")
+        names = ("schema_a.txt", "schema_b.txt", "labeled_a.csv", "labeled_b.csv",
+                 "test_a.csv", "test_b.csv")
+        return ["--set", "data.kind=csv"] + [
+            item for name in names
+            for item in ("--set", f"data.csv_{name.split('.')[0]}={tmp_path / name}")]
+
+    @pytest.mark.parametrize("name, data", [
+        ("labeled_b.csv", b"b0,b1\n\xff\xfe,1\n"),
+        ("test_a.csv", b"a0,a1,label\n" + b"x" * 131_073 + b",1,1\n"),
+        ("schema_a.txt", b"a0 categorical buckets=4 embed_dim=\xe9\n"),
+    ], ids=["csv-not-utf8", "csv-oversized-cell", "schema-not-utf8"])
+    def test_unreadable_data_file_names_it(self, capsys, tmp_path, csv_sets, name, data):
+        (tmp_path / name).write_bytes(data)
+        code, err = main_error(capsys, "run", "--method", "baseline-local", *csv_sets)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+    @pytest.mark.parametrize("data", [
+        b"[run]\nmethod = vfl\xff\n",
+        b"method = vfl\n",
+        b"[run]\nseed = 1\nseed = 2\n",
+    ], ids=["not-utf8", "no-section-header", "repeated-option"])
+    def test_unreadable_config_file_names_it(self, capsys, tmp_path, data):
+        (tmp_path / "bad.ini").write_bytes(data)
+        code, err = main_error(capsys, "run", "--config", str(tmp_path / "bad.ini"))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.ini" in err
 
 
 _set_keys = sorted(CONFIG_KEYS.values()) + [f"data.{f.name}" for f in fields(SyntheticSpec)]

@@ -19,9 +19,11 @@ from fedsplit.data import (
     fnv1a64,
     hash_feature,
     load_csv,
+    load_schema,
     parse_schema,
     synth_federated,
     validation_split,
+    write_csv,
     _compute_stats,
     _parse_labels,
 )
@@ -408,6 +410,31 @@ def test_ingest_matches_per_cell_hashing_on_arbitrary_text(labeled, unlabeled, t
         assert_matches_reference(paths, INGEST_SCHEMA_A, INGEST_SCHEMA_B)
 
 
+_csv_cells = st.sampled_from([b"x", b"1", b"0", b"", b"nan", b"1e999", b"\xff", b'"', b",",
+                              b"\n", b"\r", b"\x00", b"game", b"label"])
+_csv_bytes = st.one_of(st.binary(max_size=120), st.lists(_csv_cells, max_size=24).map(b"".join))
+_VALID_CSV = {"a": b"game,spend,label\nx,1,1\ny,2,0\n", "b": b"channel\ns\nt\n"}
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0:RuntimeWarning")
+@given(st.sampled_from(["a", "b"]), st.booleans(), _csv_bytes)
+@settings(max_examples=300, deadline=None)
+def test_load_csv_on_arbitrary_bytes_loads_or_raises_typed(party, with_header, data):
+    """One party's file is arbitrary bytes, after its real header or not."""
+    header = _VALID_CSV[party].split(b"\n")[0] + b"\n" if with_header else b""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {}
+        for p, valid in _VALID_CSV.items():
+            paths[p] = Path(directory) / f"{p}.csv"
+            paths[p].write_bytes(header + data if p == party else valid)
+        pair = (paths["a"], paths["b"])
+        try:
+            load_csv(*pair, SCHEMA_A, SCHEMA_B, "label", unlabeled=pair, test=pair)
+        except FedSplitError:
+            pass
+
+
 class TestBatches:
     def test_sizes_with_short_final(self):
         sizes = [len(b) for b in batch_indices(10, 4, seed=[1])]
@@ -549,6 +576,28 @@ class TestRoundTrip:
         assert first.labeled.a.cat.tobytes() == second.labeled.a.cat.tobytes()
         assert first.labeled.a.num.tobytes() == second.labeled.a.num.tobytes()
         assert first.labeled.b.cat.tobytes() == second.labeled.b.cat.tobytes()
+
+    def test_write_csv_writes_what_load_csv_reads(self, tmp_path):
+        ds = synth_federated(SyntheticSpec(n_labeled=30, n_unlabeled=20, n_test=10,
+                                           d_a=2, d_b=3), seed=1)
+        write_csv(ds, tmp_path, "label")
+        pair = lambda name: (tmp_path / f"{name}_a.csv", tmp_path / f"{name}_b.csv")  # noqa: E731
+        schemas = [load_schema(tmp_path / f"schema_{p}.txt", p.upper()) for p in "ab"]
+        assert schemas == [ds.schema_a, ds.schema_b]
+        loaded = load_csv(*pair("labeled"), *schemas, "label",
+                          unlabeled=pair("unlabeled"), test=pair("test"))
+        # every float32 cell reads back exactly, standardized with the labeled stats
+        for party in ("a", "b"):
+            raw = {name: getattr(getattr(ds, name), party).num.astype(np.float64)
+                   for name in ("labeled", "unlabeled", "test")}
+            stats = _compute_stats(raw["labeled"])
+            for name in raw:
+                want = (raw[name] - stats.mean) / stats.std
+                got = getattr(getattr(loaded, name), party).num
+                assert got.tobytes() == want.astype(np.float32).tobytes(), (name, party)
+        assert loaded.labeled.y.tobytes() == ds.labeled.y.tobytes()
+        assert loaded.test.y.tobytes() == ds.test.y.tobytes()
+        assert loaded.unlabeled.y is None
 
 
 @given(st.integers(2, 200), st.integers(2, 32), st.integers(0, 2**31 - 1))

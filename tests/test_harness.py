@@ -3,9 +3,11 @@
 import json
 import socket
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +254,23 @@ def test_config_from_arbitrary_lines_validates_or_raises_typed(lines):
         ExperimentConfig.from_flat(flat).validate()
     except FedSplitError:
         pass
+
+
+_ini_lines = st.sampled_from([b"[run]\n", b"[hyper]\n", b"[DEFAULT]\n", b"seed = 1\n",
+                              b"seed = x\n", b"lr = 0.1\n", b"lr = %(x)s\n", b"  more\n",
+                              b"method = vfl\n", b"=\n", b"x\n", b"\xff\n"])
+
+
+@given(st.one_of(st.binary(max_size=120), st.lists(_ini_lines, max_size=10).map(b"".join)))
+@settings(max_examples=200, deadline=None)
+def test_config_file_of_arbitrary_bytes_loads_or_raises_typed(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "config.ini"
+        path.write_bytes(data)
+        try:
+            ExperimentConfig.from_file(path)
+        except FedSplitError:
+            pass
 
 
 class TestRun:

@@ -1,5 +1,6 @@
 """Frame format, channel ordering, handshake, and TCP/in-process parity."""
 
+import hashlib
 import queue
 import socket
 import struct
@@ -255,6 +256,18 @@ class TestHandshake:
         assert {e.direction for e in hellos} == {"send", "recv"}
         assert all(e.meta["config_hash"] == "c1" for e in hellos)
         assert all(e.meta["schema_hash"] == "s1" for e in hellos)
+
+    def test_transcript_digests_the_matrix_and_the_metadata_bytes(self):
+        a, b = inproc_pair()
+        x = np.arange(6, dtype=np.float64).reshape(2, 3)
+        a.send_new(MsgType.ACTIVATION, payload=x)
+        a.send_new(MsgType.CONTROL, meta={"cmd": "eval", "tag": "x=y"})
+        b.recv(), b.recv()
+        want = [hashlib.sha256(x.astype("<f4").tobytes()).hexdigest()[:16],
+                hashlib.sha256(b"cmd=eval\ntag=x=y").hexdigest()[:16]]
+        assert [e.digest for e in a.transcript] == want
+        assert [e.digest for e in b.transcript] == want
+        assert a.counters.bytes_sent == b.counters.bytes_received == 2 * 22 + 24 + 16
 
     def test_config_mismatch_is_fatal_before_any_activation(self):
         a, b = inproc_pair()
