@@ -50,6 +50,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="shortcut for exec.out_dir")
 
 
+# the config key that each shortcut option sets
+_SHORTCUTS = {"seed": "run.seed", "method": "run.method", "transport": "exec.transport",
+              "out": "exec.out_dir", "host": "exec.tcp_host", "port": "exec.tcp_port"}
+
+
 def _config_from(args) -> ExperimentConfig:
     overrides = {}
     for item in args.set:
@@ -57,18 +62,9 @@ def _config_from(args) -> ExperimentConfig:
             raise ValidationError(f"--set expects SECTION.KEY=VALUE, got '{item}'")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if args.method is not None:
-        overrides["run.method"] = args.method
-    if args.transport is not None:
-        overrides["exec.transport"] = args.transport
-    if args.out is not None:
-        overrides["exec.out_dir"] = args.out
-    if getattr(args, "host", None) is not None:
-        overrides["exec.tcp_host"] = args.host
-    if getattr(args, "port", None) is not None:
-        overrides["exec.tcp_port"] = str(args.port)
+    for attr, key in _SHORTCUTS.items():
+        if getattr(args, attr, None) is not None:
+            overrides[key] = str(getattr(args, attr))
     if args.config:
         config = ExperimentConfig.from_file(args.config, overrides)
     else:
@@ -199,34 +195,22 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic CSV pairs and schema files")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_synth)
-
-    p = sub.add_parser("pretrain", help="matched-pair pretraining, save bottoms")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_pretrain)
-
-    p = sub.add_parser("eval", help="score a checkpoint on the test segment")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("run", help="full method pipeline, print report JSON")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("grid", help="hyperparameter grid x repeated seeds")
-    _add_common(p)
-    p.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2")
-    p.add_argument("--seeds", default="0,1,2")
-    p.set_defaults(fn=_cmd_grid)
-
-    p = sub.add_parser("serve-b", help="run the passive party (TCP)")
-    _add_common(p)
-    p.add_argument("--host", help="shortcut for exec.tcp_host")
-    p.add_argument("--port", type=int, help="shortcut for exec.tcp_port")
-    p.set_defaults(fn=_cmd_serve_b)
+    commands = {}
+    for name, fn, help_text in (
+            ("synth", _cmd_synth, "generate synthetic CSV pairs and schema files"),
+            ("pretrain", _cmd_pretrain, "matched-pair pretraining, save bottoms"),
+            ("eval", _cmd_eval, "score a checkpoint on the test segment"),
+            ("run", _cmd_run, "full method pipeline, print report JSON"),
+            ("grid", _cmd_grid, "hyperparameter grid x repeated seeds"),
+            ("serve-b", _cmd_serve_b, "run the passive party (TCP)")):
+        commands[name] = p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(fn=fn)
+    commands["eval"].add_argument("--checkpoint", required=True)
+    commands["grid"].add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2")
+    commands["grid"].add_argument("--seeds", default="0,1,2")
+    commands["serve-b"].add_argument("--host", help="shortcut for exec.tcp_host")
+    commands["serve-b"].add_argument("--port", type=int, help="shortcut for exec.tcp_port")
 
     args = parser.parse_args(argv)
     try:

@@ -324,9 +324,11 @@ def _read_party(path, schema: PartySchema, label_column: str | None):
     wanted = [f.name for f in schema.fields]
     if label_column is not None:
         wanted.append(label_column)
-    for col in header:
+    for j, col in enumerate(header):
         if col not in wanted:
             raise SchemaError(f"{path}: unknown column '{col}'")
+        if header.index(col) != j:
+            raise SchemaError(f"{path}: repeated column '{col}'")
     for col in wanted:
         if col not in header:
             kind = "label column" if col == label_column else "column"

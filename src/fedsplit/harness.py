@@ -200,7 +200,7 @@ class ExperimentConfig:
         return sections
 
     def resolved_text(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, values in self.to_sections().items():
             parser[section] = {k: str(v) for k, v in values.items()}
         buf = io.StringIO()
@@ -225,7 +225,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)

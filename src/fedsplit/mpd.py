@@ -154,7 +154,7 @@ def _mpd_protocol_step(
         grad_fused_neg, g_top = active.top.backward(neg_caches[i], g)
         for name, value in g_top.items():
             grads_top[name] = grads_top[name] + value
-        np.add.at(grad_h_a, perm, grad_fused_neg[:, :d_a])
+        grad_h_a[perm] += grad_fused_neg[:, :d_a]  # perm repeats no row
         grad_h_b += grad_fused_neg[:, d_a:]
 
     grads_bottom = active.send_gradient(grad_h_a, grad_h_b)

@@ -16,19 +16,19 @@ rows of the dense table. Adam takes its one L2 rule from the gradient: a
 row-sparse gradient's own rows receive L2, any other 2-D parameter (a
 dense weight) receives it in full, and a 1-D bias receives none.
 
-Adam screens every gradient before anything moves, so a refused step
-leaves the optimizer and the parameters as they were. Its first step fixes
-the parameters it will ever step and the path of each. It keeps the moments
-of a party's parameters in one flat buffer each and runs its elementwise
-sequence once over them, with one subtraction per parameter at the end
-(the multi-tensor "foreach" form of torch.optim.Adam). The order of
-operations per element is that of the textbook expression, so its results
-are bit-identical to that expression evaluated tensor by tensor, while a
-step allocates no full-size temporaries. A table of more than
-DENSE_TABLE_ROWS rows whose first gradient is row-sparse is updated over
-its live rows, those some step has touched; every other row has
-m = v = g = 0, where the update is exactly a no-op, so skipping them changes
-no bit.
+A party hands Adam one tensor per embed-dim group of embedding tables (the
+block that holds them). Adam screens every gradient before anything moves, so
+a refused step leaves the optimizer and the parameters as they were. Its first
+step fixes the parameters it will ever step and the path of each. It keeps
+the moments in one flat buffer each and runs its elementwise sequence once
+over them, with one subtraction per parameter at the end (the multi-tensor
+"foreach" form of torch.optim.Adam). The order of operations per element is
+that of the textbook expression, so its results are bit-identical to that
+expression evaluated tensor by tensor, while a step allocates no full-size
+temporaries. A table or block of more than DENSE_TABLE_ROWS rows whose first
+gradient is row-sparse is updated over its live rows, those some step has
+touched; every other row has m = v = g = 0, where the update is exactly a
+no-op, so skipping them changes no bit.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ RELU = "relu"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, IDENTITY)
 
-# Adam updates an embedding table of at most this many rows in full, and a
-# larger one over its live rows. Only the 24- and 256-bucket desk tables and
-# the 2^16-bucket ID tables have been measured; the value matters because
-# hashed desk codes never cover a 256-bucket table, so coverage alone would
-# keep it on the slower live-row path. 4096 is not a measured crossover.
+# Adam updates a table or group block of at most this many rows in full, and
+# a larger one over its live rows, so desk tables that share a block with a
+# 2^16-bucket ID table take its live-row path. 4096 is not a measured
+# crossover; it matters because hashed desk codes never cover a 256-bucket
+# table, so coverage alone would keep a desk block on the slower path.
 DENSE_TABLE_ROWS = 4096
 
 
@@ -375,11 +375,11 @@ class AdamState:
     flat-sweep parameters are views into one flat buffer each, laid out
     together with adam_step's two flat work buffers.
 
-    live maps each table on the live-row path to the sorted rows its
-    gradients have touched; every other row of that table still has
-    m = v = 0. A table takes that path if its first gradient is row-sparse
-    and it is a C-contiguous table of more than DENSE_TABLE_ROWS rows, and
-    keeps it for good.
+    live maps each table (or block) on the live-row path to the sorted
+    rows its gradients have touched; every other row of it still has
+    m = v = 0. A table takes that path if its first gradient is
+    row-sparse and it is a C-contiguous table of more than DENSE_TABLE_ROWS
+    rows, and keeps it for good.
     """
 
     lr: float
@@ -444,36 +444,30 @@ def _live_rows(state: AdamState, name: str, rows: np.ndarray) -> np.ndarray:
 
 
 def _screen(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
-            grads: Mapping) -> None:
-    """Raise on any step that adam_step refuses."""
+            grads: Mapping, finite: bool) -> None:
+    """Raise on any step that adam_step refuses; on a non-finite gradient
+    element only if `finite`."""
     if state.layout is not None and key != state.layout.key:
         raise StateError(
             f"this Adam state steps {[k[0] for k in state.layout.key]}, fixed by its "
             "first step; every step must name them in that order, with the same "
             "shapes and dtype")
-    dtype = None
-    # g·g is finite when every element is, and needs no mask; only when it
-    # is not (a NaN, an inf, or a finite g whose squares overflow) does the
-    # exact elementwise check decide
-    with np.errstate(over="ignore"):
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-            if name in state.live and not (isinstance(g, RowSparseGrad)
-                                           and p.flags.c_contiguous):
-                raise ShapeError(f"'{name}' takes the live-row path: it needs a "
-                                 "row-sparse gradient and a C-contiguous table")
-            f = g.values if isinstance(g, RowSparseGrad) else g
-            if dtype is None:
-                dtype = p.dtype
-            if f.dtype != p.dtype or p.dtype != dtype:
-                raise ShapeError(f"'{name}' has a {f.dtype} gradient for a {p.dtype} param; "
-                                 f"every gradient and param of a step must be {dtype}")
-            f = f.ravel()
-            if not math.isfinite(np.dot(f, f)) and not np.all(np.isfinite(f)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
+    dtype = key[0][2] if key else None
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ShapeError(
+                f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+        if name in state.live and not (isinstance(g, RowSparseGrad)
+                                       and p.flags.c_contiguous):
+            raise ShapeError(f"'{name}' takes the live-row path: it needs a "
+                             "row-sparse gradient and a C-contiguous table")
+        f = g.values if isinstance(g, RowSparseGrad) else g
+        if f.dtype != p.dtype or p.dtype != dtype:
+            raise ShapeError(f"'{name}' has a {f.dtype} gradient for a {p.dtype} param; "
+                             f"every gradient and param of a step must be {dtype}")
+        if finite and not np.all(np.isfinite(f)):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
 
 
 def adam_step(
@@ -496,9 +490,10 @@ def adam_step(
     first's (StateError) or a dense gradient for a live-row table
     (ShapeError).
 
-    The step then writes each flat-sweep parameter's effective gradient into
-    its view of the flat work buffer, runs the moment and delta update once
-    over the flat buffers, and subtracts each parameter's delta view from it.
+    The step writes each flat-sweep parameter's effective gradient into its
+    view of the flat work buffer, screens it with one dot product (and each
+    live-row gradient with one), runs the moment and delta update once over
+    the flat buffers, and subtracts each parameter's delta view from it.
     Every elementwise operation runs in the same order as the textbook form
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
@@ -513,28 +508,13 @@ def adam_step(
     this is still the same update, row for row.
     """
     key = tuple((name, p.shape, p.dtype) for name, p in params.items())
-    _screen(state, key, params, grads)
+    # a first step is screened in full, so that a refused one lays nothing out
+    _screen(state, key, params, grads, finite=state.layout is None)
     if state.layout is None:
         _lay_out(state, key, params, grads)
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
     flat = state.layout
-    for name, p in params.items():
-        g = grads[name]
-        if name in state.live:
-            live = _live_rows(state, name, g.rows)
-            w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
-            w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
-            gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
-            p_live, m_live, v_live = gathered
-            _adam_update(state, c1, c2, m_live, v_live, w1, np.empty_like(w1))
-            np.subtract(p_live, w1, p_live)
-            for a, a_live in zip((p, state.m[name], state.v[name]), gathered):
-                np.put(_row_items(a), live, _row_items(a_live))
-            continue
-        w1 = flat.grads[name]
+    for name, w1 in flat.grads.items():
+        p, g = params[name], grads[name]
         if isinstance(g, RowSparseGrad):
             w1.fill(0)
             np.put(_row_items(w1), g.rows, _row_items(_row_values(state, p, g)))
@@ -543,6 +523,28 @@ def adam_step(
             np.add(g, w1, w1)
         else:
             np.copyto(w1, g)
+    # g·g is finite when every element is, and needs no mask; only when it
+    # is not (a NaN, an inf, or a finite g whose squares overflow) does the
+    # exact elementwise check decide. Nothing has moved yet.
+    with np.errstate(over="ignore"):
+        screened = [flat.w1] + [grads[name].values.ravel() for name in state.live]
+        if not all(math.isfinite(np.dot(f, f)) for f in screened):
+            _screen(state, key, params, grads, finite=True)
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for name in state.live:
+        p, g = params[name], grads[name]
+        live = _live_rows(state, name, g.rows)
+        w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
+        w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
+        gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
+        p_live, m_live, v_live = gathered
+        _adam_update(state, c1, c2, m_live, v_live, w1, np.empty_like(w1))
+        np.subtract(p_live, w1, p_live)
+        for a, a_live in zip((p, state.m[name], state.v[name]), gathered):
+            np.put(_row_items(a), live, _row_items(a_live))
     _adam_update(state, c1, c2, flat.m, flat.v, flat.w1, flat.w2)
     for name, delta in flat.grads.items():
         np.subtract(params[name], delta, params[name])

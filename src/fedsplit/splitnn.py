@@ -44,7 +44,6 @@ from .numeric import (
     AdamState,
     EmbeddingTable,
     Mlp,
-    RowSparseGrad,
     adam_step,
     bce_loss,
     fit_params,
@@ -127,7 +126,7 @@ class TrainSettings:
 class _EmbedGroup:
     """The categorical fields of one embed dim. Their tables are row ranges
     of one block, in field order, starting at `offsets` (whose last entry
-    is the block's length)."""
+    is the block's length); the optimizer steps the block as one tensor."""
 
     block: EmbeddingTable
     dim: int
@@ -136,6 +135,7 @@ class _EmbedGroup:
     x_cols: slice | np.ndarray  # their columns of the bottom's input
     buckets: np.ndarray  # (k,)
     offsets: np.ndarray  # (k + 1,)
+    key: str  # the block's name in step_params()
 
 
 def _columns(cols: list[int]) -> slice | np.ndarray:
@@ -150,11 +150,12 @@ class BottomModel:
 
     The categorical tables of each embed dim are row ranges of one block
     (`_EmbedGroup`), so a batch costs one lookup and one gradient per embed
-    dim, not one per field. `embeddings[name].table` is that field's view
-    of its block; parameter names, checkpoints and values are those of
-    separate tables. set_params copies into the views; a value of another
-    dtype (the float64 shadow of `tests/oracles.grad_check`) first lays its
-    group out again in that dtype, as `Mlp.set_params` replaces an array.
+    dim, not one per field, and backward and step_params() give the
+    optimizer the block. `embeddings[name].table` is that field's view of
+    its block, and params() are those of separate tables. set_params copies
+    into the views; a value of another dtype (the float64 shadow of
+    `tests/oracles.grad_check`) first lays its group out again in that
+    dtype, as `Mlp.set_params` replaces an array.
     """
 
     def __init__(self, schema: PartySchema, embeddings: dict[str, EmbeddingTable], mlp: Mlp):
@@ -175,7 +176,7 @@ class BottomModel:
         self._width = col
         self._num_cols = _columns(num_cols)
         self._n_num = len(num_cols)
-        self._groups = []
+        self.groups = []
         for dim, members in by_dim.items():
             names = tuple(name for name, _, _ in members)
             buckets = np.array([embeddings[name].buckets for name in names])
@@ -187,9 +188,10 @@ class BottomModel:
                 x_cols=_columns([c + d for _, _, c in members for d in range(dim)]),
                 buckets=buckets,
                 offsets=np.concatenate(([0], np.cumsum(buckets))),
+                key=f"emb.dim{dim}",
             )
             self._bind(group)
-            self._groups.append(group)
+            self.groups.append(group)
 
     def _bind(self, group: _EmbedGroup) -> None:
         for name, lo, hi in zip(group.names, group.offsets, group.offsets[1:]):
@@ -212,7 +214,7 @@ class BottomModel:
         pairs. Each field's indices are checked against its own table, so
         an out-of-range index cannot read a neighbouring table's row."""
         out = []
-        for group in self._groups:
+        for group in self.groups:
             idx = block.cat[:, group.cat_cols]
             if idx.size:
                 bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= group.buckets)
@@ -229,10 +231,10 @@ class BottomModel:
         rows = self._block_rows(block)
         n = block.n_rows
         looked = [group.block.lookup(r).reshape(n, group.dim * len(group.names))
-                  for group, r in zip(self._groups, rows)]
+                  for group, r in zip(self.groups, rows)]
         dtypes = [x.dtype for x in looked] + ([block.num.dtype] if self._n_num else [])
         x0 = np.empty((n, self._width), dtype=np.result_type(*dtypes))
-        for group, x in zip(self._groups, looked):
+        for group, x in zip(self.groups, looked):
             x0[:, group.x_cols] = x
         if self._n_num:
             x0[:, self._num_cols] = block.num[:, : self._n_num]
@@ -244,16 +246,9 @@ class BottomModel:
             raise StateError("backward called with no recorded forward")
         rows, caches = cache
         grad_x0, mlp_grads = self.mlp.backward(caches, grad_h)
-        grads = {f"mlp.{k}": v for k, v in mlp_grads.items()}
-        for group, r in zip(self._groups, rows):
-            g = group.block.grad(r, grad_x0[:, group.x_cols].reshape(-1, group.dim))
-            offsets = group.offsets.tolist()
-            cuts = np.searchsorted(g.rows, offsets).tolist()
-            for j, name in enumerate(group.names):
-                lo, hi = cuts[j], cuts[j + 1]
-                grads[f"emb.{name}"] = RowSparseGrad(
-                    g.rows[lo:hi] - offsets[j], g.values[lo:hi], self.embeddings[name].table.shape
-                )
+        grads = {group.key: group.block.grad(r, grad_x0[:, group.x_cols].reshape(-1, group.dim))
+                 for group, r in zip(self.groups, rows)}
+        grads.update({f"mlp.{k}": v for k, v in mlp_grads.items()})
         return grads
 
     def params(self) -> dict[str, np.ndarray]:
@@ -261,9 +256,15 @@ class BottomModel:
         out.update({f"mlp.{k}": v for k, v in self.mlp.params().items()})
         return out
 
+    def step_params(self) -> dict[str, np.ndarray]:
+        """The tensors the optimizer steps: each group's block, then mlp's."""
+        out = {group.key: group.block.table for group in self.groups}
+        out.update({f"mlp.{k}": v for k, v in self.mlp.params().items()})
+        return out
+
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         values = fit_params(mapping, self.params())
-        for group in self._groups:
+        for group in self.groups:
             dtype = np.result_type(*(values[f"emb.{name}"] for name in group.names))
             if dtype != group.block.table.dtype:
                 group.block.table = group.block.table.astype(dtype)
@@ -301,6 +302,8 @@ class TopModel:
     def params(self) -> dict[str, np.ndarray]:
         return self.mlp.params()
 
+    step_params = params
+
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         self.mlp.set_params(mapping)
 
@@ -315,16 +318,21 @@ def _strip(mapping: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarr
 
 
 class Composite:
-    """A holder of named parts, each with params() and set_params(), that
-    its parts() lists as {prefix: part} in order. params() names each part's
-    live tensors `<prefix>.<name>`. set_params copies in the parts a mapping
-    names, each in full, and checks all of them before it loads any.
+    """A holder of named parts that its parts() lists as {prefix: part} in
+    order. params() and step_params() name each part's tensors
+    `<prefix>.<name>`. set_params copies in the parts a mapping names, each
+    in full, and checks all of them before it loads any.
     """
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"{prefix}.{name}": value
                 for prefix, part in self.parts().items()
                 for name, value in part.params().items()}
+
+    def step_params(self) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": value
+                for prefix, part in self.parts().items()
+                for name, value in part.step_params().items()}
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         named = {key.split(".", 1)[0] for key in mapping}
@@ -485,7 +493,7 @@ class ActiveParty(Composite):
     def apply_update(self, grads: Mapping[str, np.ndarray]) -> None:
         if self.optimizer is None:
             raise StateError("no optimizer configured (send a phase first)")
-        adam_step(self.optimizer, self.params(), grads)
+        adam_step(self.optimizer, self.step_params(), grads)
 
     # -- phase / snapshot plumbing -------------------------------------------
     def start_phase(self, settings: TrainSettings, name: str) -> None:
@@ -590,7 +598,7 @@ class PassiveParty:
     def apply_update(self, grads: Mapping[str, np.ndarray]) -> None:
         if self.optimizer is None:
             raise StateError("no optimizer configured (phase not started)")
-        adam_step(self.optimizer, self.bottom.params(), grads)
+        adam_step(self.optimizer, self.bottom.step_params(), grads)
 
     # -- command handlers ----------------------------------------------------
     def _rows_for(self, meta: dict) -> tuple[FeatureBlock, np.ndarray]:
@@ -894,7 +902,7 @@ def local_train(
         loss, grad = loss_fn(logits, rows)
         if not np.isfinite(loss):
             return None
-        adam_step(optimizer, model.params(), model.backward(cache, grad))
+        adam_step(optimizer, model.step_params(), model.backward(cache, grad))
         return loss
 
     def validate(diverged):

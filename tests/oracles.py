@@ -6,6 +6,8 @@ driver and the demos. Nothing in the library calls them.
 - `dense_grad`: a row-sparse embedding gradient as its full table;
 - `per_table_bottom`: a bottom's forward and backward with one lookup and
   one gradient per table, the reference for its grouped embedding path;
+- `per_field`: gradients or moments keyed as `step_params()`, each embed-dim
+  group's entry cut into its fields' entries as `params()` keys them;
 - `reference_adam_step`: the allocating textbook form of Adam, the
   reference for the fused in-place `adam_step`;
 - `pmi_probe`: trained match logits against the exact shifted PMI that
@@ -75,16 +77,17 @@ def grad_check(
     lay an embedding group out again in float64), so perturbing a shadow
     entry in place re-evaluates the model at the perturbed point.
     `loss_fn(model)` must run a full forward and backward pass and return
-    (loss, grads_by_param_name); a row-sparse embedding gradient is
-    densified before the comparison. The analytic gradients are taken from
-    the same float64 evaluation, so the comparison is free of float32
-    rounding.
+    (loss, grads) keyed as the model's backward keys them; an embed-dim
+    group's gradient is cut into its fields' (`per_field`), and a row-sparse
+    embedding gradient is densified before the comparison. The analytic
+    gradients are taken from the same float64 evaluation, so the comparison
+    is free of float32 rounding.
     """
     originals = dict(model.params())
     model.set_params({k: v.astype(F64) for k, v in originals.items()})
     shadow = dict(model.params())
     try:
-        _, analytic = loss_fn(model)
+        analytic = per_field(model, loss_fn(model)[1])
         worst = 0.0
         worst_name = ""
         n = 0
@@ -151,6 +154,40 @@ def per_table_bottom(bottom: BottomModel, block: FeatureBlock, grad_h: np.ndarra
     for name, table, idx, start, end in spans:
         grads[f"emb.{name}"] = table.grad(idx, grad_x0[:, start:end])
     return h, grads
+
+
+def _bottoms(model):
+    """(prefix, bottom) for each BottomModel that `model` is or holds."""
+    if isinstance(model, BottomModel):
+        return [("", model)]
+    return [(f"{prefix}.", part) for prefix, part in getattr(model, "parts", dict)().items()
+            if isinstance(part, BottomModel)]
+
+
+def per_field(model, mapping):
+    """`mapping`, keyed as `model.step_params()` (gradients, or Adam's m or
+    v), re-keyed as `model.params()`: each embed-dim group's entry is cut
+    into its fields' entries by the group's offsets. A row-sparse group gradient
+    gives each field the rows in its range, counted from the field's first
+    row; every other entry passes through."""
+    groups = {prefix + group.key: (prefix, group)
+              for prefix, bottom in _bottoms(model) for group in bottom.groups}
+    out = {}
+    for key, value in mapping.items():
+        if key not in groups:
+            out[key] = value
+            continue
+        prefix, group = groups[key]
+        offsets = group.offsets.tolist()
+        for name, lo, hi in zip(group.names, offsets, offsets[1:]):
+            if isinstance(value, RowSparseGrad):
+                a, b = np.searchsorted(value.rows, [lo, hi])
+                value_of_field = RowSparseGrad(value.rows[a:b] - lo, value.values[a:b],
+                                               (hi - lo, group.dim))
+            else:
+                value_of_field = value[lo:hi]
+            out[f"{prefix}emb.{name}"] = value_of_field
+    return out
 
 
 def reference_adam_step(state, params, grads):

@@ -139,6 +139,14 @@ class TestRunCommand:
         assert (run_dirs[0] / "pretrained_bottom_a.ckpt").exists()
         assert (run_dirs[0] / "party_b_pretrained.ckpt").exists()
 
+    def test_run_into_a_directory_whose_name_holds_a_percent_sign(self, tmp_path):
+        out = tmp_path / "100%"
+        proc = cli("run", "--method", "baseline-local", "--out", str(out), *BASE_SETS)
+        assert proc.returncode == 0, proc.stderr
+        run_dir = next((out / "runs").iterdir())
+        assert (run_dir / "report.json").exists()
+        assert ExperimentConfig.from_file(run_dir / "resolved.cfg").out_dir == str(out)
+
     def test_eval_scores_a_checkpoint(self, tmp_path):
         proc = cli("run", "--method", "baseline-local", "--out", str(tmp_path), *BASE_SETS)
         assert proc.returncode == 0, proc.stderr

@@ -148,6 +148,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="extra"):
             load_csv(a, b, SCHEMA_A, SCHEMA_B, "label")
 
+    def test_repeated_column_rejected(self, tmp_path):
+        a = write(tmp_path / "a.csv", "game,game,spend,label\nx,y,1,1\n")
+        b = write(tmp_path / "b.csv", "channel\nsocial\n")
+        with pytest.raises(SchemaError, match=r"a\.csv: repeated column 'game'"):
+            load_csv(a, b, SCHEMA_A, SCHEMA_B, "label")
+
     def test_missing_schema_column_rejected(self, tmp_path):
         a = write(tmp_path / "a.csv", "game,label\nx,1\n")
         b = write(tmp_path / "b.csv", "channel\nsocial\n")

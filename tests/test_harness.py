@@ -115,6 +115,15 @@ class TestConfig:
         assert loaded.synth == config.synth
         assert loaded.config_hash() == config.config_hash()
 
+    def test_a_percent_sign_in_a_value_is_read_and_written_literally(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[exec]\nout_dir = runs/100%\n", encoding="utf-8")
+        assert ExperimentConfig.from_file(path).out_dir == "runs/100%"
+        config = tiny_config(out_dir="runs/100%(x)s%%")
+        assert "out_dir = runs/100%(x)s%%\n" in config.resolved_text()
+        config.to_file(path)
+        assert ExperimentConfig.from_file(path) == config
+
     def test_flag_overrides(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "run.cfg"

@@ -228,6 +228,26 @@ class TestAdam:
             adam_step(state, params, grads(np.nan))
         assert snapshot(state, params) == before
 
+    def test_a_later_non_finite_live_row_gradient_moves_nothing(self):
+        # a live-row table's gradient is screened apart from the flat buffer
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(3, 2)).astype(F32),
+                  "emb": rng.normal(size=(DENSE_TABLE_ROWS + 8, 2)).astype(F32)}
+        state = AdamState(lr=0.1, l2=0.01)
+
+        def grads(bad):
+            rows = np.ones((3, 2), dtype=F32)
+            rows[1, 0] = bad
+            return {"w": np.ones((3, 2), dtype=F32),
+                    "emb": EmbeddingTable(table=params["emb"]).grad(np.array([1, 5, 1]), rows)}
+
+        adam_step(state, params, grads(0.5))
+        assert list(state.live) == ["emb"]
+        before = snapshot(state, params)
+        with pytest.raises(NumericError, match="'emb'"):
+            adam_step(state, params, grads(np.inf))
+        assert snapshot(state, params) == before
+
     def test_gradient_or_param_of_another_dtype_is_refused(self):
         state = AdamState(lr=0.1)
         params = {"w": np.ones((2, 2), dtype=F32), "b": np.ones(2, dtype=F32)}

@@ -46,7 +46,7 @@ from fedsplit.splitnn import (
     train_supervised,
 )
 from fedsplit.transport import MsgType, inproc_pair
-from oracles import dense_grad, grad_check, per_table_bottom, reference_adam_step
+from oracles import dense_grad, grad_check, per_field, per_table_bottom, reference_adam_step
 
 F32 = np.float32
 
@@ -499,7 +499,7 @@ class TestModelContainers:
         )
         h, cache = bottom.forward(block)
         assert h.shape == (2, 6)
-        grads = bottom.backward(cache, np.ones_like(h))
+        grads = per_field(bottom, bottom.backward(cache, np.ones_like(h)))
         assert set(grads) == {"emb.cat1", "emb.cat2", "mlp.layer0.weight", "mlp.layer0.bias"}
         # each table's gradient is row-sparse and carries the touched rows
         np.testing.assert_array_equal(grads["emb.cat1"].rows, [1, 6])
@@ -513,7 +513,7 @@ class TestModelContainers:
             num=np.zeros((5, 1), dtype=F32),
         )
         h5, cache5 = bottom.forward(block5)
-        grads5 = bottom.backward(cache5, np.ones_like(h5))
+        grads5 = per_field(bottom, bottom.backward(cache5, np.ones_like(h5)))
         np.testing.assert_array_equal(grads5["emb.cat2"].rows, [0, 3, 4])
         np.testing.assert_array_equal(grads5["emb.cat1"].rows, [1, 2, 6])
 
@@ -536,8 +536,9 @@ class TestModelContainers:
             logits, cache = m.forward(block)
             loss, grad = bce_loss(logits, y)
             grads = m.backward(cache, grad)
-            assert isinstance(grads["bottom.emb.c1"], RowSparseGrad)
-            assert isinstance(grads["bottom.emb.c2"], RowSparseGrad)
+            fields = per_field(m, grads)
+            assert isinstance(fields["bottom.emb.c1"], RowSparseGrad)
+            assert isinstance(fields["bottom.emb.c2"], RowSparseGrad)
             return loss, grads
 
         report = grad_check(local, loss_fn, tolerance=1e-3, step=1e-5)
@@ -564,11 +565,11 @@ class TestModelContainers:
             tracemalloc.start()
             try:
                 grads = bottom.backward(cache, grad_h)
-                adam_step(state, bottom.params(), grads)
+                adam_step(state, bottom.step_params(), grads)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return grads["emb.user"], peak
+            return per_field(bottom, grads)["emb.user"], peak
 
         step()  # the first step allocates the optimizer's m and v
         g, peak = step()
@@ -619,7 +620,7 @@ class TestGroupedEmbeddings:
         bottom, block = grouped_case(case, n, seed=len(case) + n, dtype=dtype)
         h, cache = bottom.forward(block)
         grad_h = np.random.default_rng(n).normal(size=h.shape).astype(h.dtype)
-        grads = bottom.backward(cache, grad_h)
+        grads = per_field(bottom, bottom.backward(cache, grad_h))
         ref_h, ref_grads = per_table_bottom(bottom, block, grad_h)
         assert h.dtype == ref_h.dtype == dtype and h.tobytes() == ref_h.tobytes()
         assert set(grads) == set(ref_grads) == set(bottom.params())
@@ -647,6 +648,24 @@ class TestGroupedEmbeddings:
             source[f"emb.{name}"] += 1.0  # the tables hold copies, not the caller's arrays
         h, _ = bottom.forward(block)
         assert h.tobytes() == fresh.forward(block)[0].tobytes()
+
+    def test_each_party_steps_one_tensor_per_embed_dim_group(self):
+        bottom_a, block_a = grouped_case("mixed-dims", 6, seed=1)
+        bottom_b, block_b = grouped_case("above-threshold", 6, seed=2)
+        top = TopModel.create(10, (3,), rng_for(0, 3))
+        active, passive = make_pair(bottom_a, bottom_b, top)
+        passive.send_activation(block_b)
+        _, grad = bce_loss(active.forward_step(block_a), np.array([0, 1] * 3, dtype=F32))
+        active.apply_update(active.backward_step(grad))
+        passive.apply_update(passive.recv_gradient())
+        mlp = [f"mlp.{k}" for k in bottom_a.mlp.params()]
+        assert [k[0] for k in active.optimizer.layout.key] == (
+            ["bottom.emb.dim3", "bottom.emb.dim2"] + [f"bottom.{k}" for k in mlp]
+            + [f"top.{k}" for k in top.params()])
+        # the 16-bucket table shares its block, and so the live-row path,
+        # with the table above DENSE_TABLE_ROWS
+        assert [k[0] for k in passive.optimizer.layout.key] == ["emb.dim4", *mlp]
+        assert list(passive.optimizer.live) == ["emb.dim4"]
 
     @pytest.mark.parametrize("bad", [-1, 5, 7])
     def test_out_of_range_index_in_the_second_field_names_that_field(self, bad):
@@ -681,17 +700,18 @@ class TestGroupedEmbeddings:
             logits, cache = model.forward(block)
             _, grad = bce_loss(logits, (rng.random(16) > 0.5).astype(dtype))
             grads = model.backward(cache, grad)
-            adam_step(ours, model.params(), grads)
-            reference_adam_step(ref, ref_params, grads)
+            adam_step(ours, model.step_params(), grads)
+            reference_adam_step(ref, ref_params, per_field(model, grads))
             if step == 0:
                 layout = ours.layout
             assert ours.layout is layout
+            m, v = per_field(model, ours.m), per_field(model, ours.v)
             for name, p in model.params().items():
                 assert p.dtype == dtype
                 assert p.tobytes() == ref_params[name].tobytes(), (step, name)
-                assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
-                assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
-        assert sorted(ours.live) == ["bottom.emb.id"]
+                assert m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+        assert sorted(ours.live) == ["bottom.emb.dim4"]
 
 
 # small random schemas (unique field names), widths and model kinds for the
