@@ -1,7 +1,6 @@
 """Command-line entry points.
 
     fedsplit synth     --out DIR [--set data.n_labeled=...]   write CSV + schema files
-    fedsplit pretrain  [--config F] [--set k=v] --out DIR     matched-pair pretraining only
     fedsplit eval      --checkpoint F ...                     score a checkpoint on test data
     fedsplit run       --method M ...                         full pipeline + report JSON
     fedsplit grid      --method M --grid lr=a,b --grid l2=... hyperparameter grid
@@ -22,13 +21,12 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .data import write_csv
 from .errors import FedSplitError, ValidationError
 from .harness import (
     CONFIG_KEYS,
     ExperimentConfig,
-    FedSession,
     grid as run_grid,
     load_dataset,
     run as run_method,
@@ -79,34 +77,6 @@ def _cmd_synth(args) -> int:
     out = Path(args.out or config.out_dir or ".")
     write_csv(dataset, out, config.label_column)
     print(f"wrote synthetic CSV pairs and schemas under {out}")
-    return 0
-
-
-def _cmd_pretrain(args) -> int:
-    from .harness import _pretrain_in, _run_dir
-
-    config = _config_from(args)
-    dataset = load_dataset(config)
-    with FedSession(config, dataset) as session:
-        history = _pretrain_in(session, config)
-        run_dir = _run_dir(config)
-        if run_dir:
-            save_checkpoint(
-                Path(run_dir) / "pretrained_bottom_a.ckpt",
-                {f"a.{k}": v for k, v in session.active.bottom.params().items()},
-                session.schema_hash,
-                meta={"pretrain_config_hash": config.config_hash()},
-            )
-            session.save_passive("pretrained")
-            (Path(run_dir) / "pretrain_metrics.jsonl").write_text(
-                history.to_jsonl(), encoding="utf-8"
-            )
-        final = history.records[-1] if history.records else None
-        print(json.dumps({
-            "match_loss": final.train_loss if final else None,
-            "match_accuracy": final.extra.get("match_accuracy") if final else None,
-            "epochs": len(history.records),
-        }))
     return 0
 
 
@@ -198,7 +168,6 @@ def main(argv=None) -> int:
     commands = {}
     for name, fn, help_text in (
             ("synth", _cmd_synth, "generate synthetic CSV pairs and schema files"),
-            ("pretrain", _cmd_pretrain, "matched-pair pretraining, save bottoms"),
             ("eval", _cmd_eval, "score a checkpoint on the test segment"),
             ("run", _cmd_run, "full method pipeline, print report JSON"),
             ("grid", _cmd_grid, "hyperparameter grid x repeated seeds"),

@@ -15,15 +15,19 @@ Seven methods cover the two serving modes:
 A run executes one method's stage pipeline inside party sessions
 (in-process thread or a TCP peer started with `serve_party_b`), evaluates
 test AUC, and reports the absolute improvement over a baseline-local run
-with the same data and seed. Stage outputs are memoized per (stage, data,
-seed, hyperparameters) inside a RunContext so a method matrix shares its
-pretraining and teacher stages across methods.
+with the same data and seed.
 
 Each method is one row of PIPELINES, the list of its stages in order; `run`
-walks that row. A stage marked local trains party A alone and uses the
-caller's RunContext under either transport. Over TCP the federated stages
-run in the peer's one session, whose passive state flows from stage to
-stage, so they cache only within the run.
+walks that row. Each stage declares the config fields its function reads on
+that row, and `run` looks every stage up in a RunContext under one key rule
+(`stage_key`): the function, the data, the seed, the declared fields and the
+key of the row's previous stage. A key thus chains every input of a stage,
+so a method matrix shares its pretraining and teacher stages across methods,
+and a grid shares the stages that no gridded field reaches. A stage marked
+local trains party A alone and uses the caller's RunContext under either
+transport. Over TCP the federated stages run in the peer's one session,
+whose passive state flows from stage to stage, so they cache only within
+the run.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .checkpoint import save_checkpoint
 from .data import PartitionedDataset, SyntheticSpec, load_csv, load_schema, synth_federated
 from .distill import distill, teacher_predict
 from .errors import TransportTimeout, ValidationError
-from .metrics import MetricHistory, auc
+from .metrics import auc
 from .numeric import sigmoid
 from .splitnn import (
     STREAM_INIT_BOTTOM_A,
@@ -518,40 +522,17 @@ def _settings(config, *, lr, epochs, batch, stage, patience) -> TrainSettings:
     )
 
 
-def _pretrain_key(config):
-    return ("mpd-pretrain", config.data_key(), config.seed, config.lr, config.l2,
-            config.batch_pretrain, config.pretrain_epochs, config.k,
-            config.bottom_a, config.bottom_b, config.top)
+# Every stage function takes (config, dataset, session_factory, done), where
+# `done` maps the names of the method's earlier stages to their outputs, and
+# returns its own output: a dict that may carry the stage's "history", its
+# "test_auc", its "inference_messages", its "params" and the "phases" it ran
+# for the row's earlier stages that have no function. A federated stage's
+# params are a copy of `FedSession.params()`, and its "checkpoint" names the
+# files its parameters are saved under; a local stage's params are party A's
+# `LocalModel.params()`.
 
 
-def _fed_key(config, stage_key, lr, parents):
-    return ("fed-train", stage_key, config.data_key(), config.seed, lr, config.l2,
-            config.batch_train, config.eval_batch, config.epochs, config.patience,
-            config.bottom_a, config.bottom_b, config.top, parents)
-
-
-def _baseline_key(config):
-    return ("baseline-local", config.data_key(), config.seed, config.lr, config.l2,
-            config.batch_train, config.epochs, config.patience, config.bottom_a, config.top)
-
-
-# Every stage function takes (config, dataset, ctx, session_factory, done),
-# where `done` maps the names of the method's earlier stages to their
-# outputs, and returns its own output: a dict that may carry the stage's
-# "history", its "test_auc", its "inference_messages" and its "params". A
-# federated stage's params are a copy of `FedSession.params()`; a local
-# stage's are party A's `LocalModel.params()`.
-
-
-def _stage_baseline_local(config, dataset, ctx, session_factory=None, done=None):
-    """Plain party-A training; cached per (data, seed, hyperparameters)."""
-    return ctx.stage(
-        _baseline_key(config),
-        lambda: _stage_student(config, dataset, ctx, session_factory, {}),
-    )
-
-
-def _stage_student(config, dataset, ctx, session_factory, done):
+def _stage_student(config, dataset, session_factory, done):
     """Party A's single-party model, trained on the labeled rows.
 
     After pretraining it starts from the pretrained bottom at the fine-tune
@@ -579,33 +560,23 @@ def _stage_student(config, dataset, ctx, session_factory, done):
     }
 
 
-def _pretrain_in(session, config) -> MetricHistory:
-    """Matched-pair pretraining inside an open session, against a
-    disposable match-task top."""
-    session.active.top = TopModel.create(
-        session.active.bottom.out_dim + config.bottom_b[-1],
-        config.top,
-        rng_for(config.seed, STREAM_INIT_MPD_TOP),
-    )
-    settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
-                         batch=config.batch_pretrain, stage="mpd", patience=None)
-    return mpd_mod.pretrain(session.active, settings, k=config.k)
-
-
-def _stage_mpd_pretrain(config, dataset, ctx, session_factory, done=None):
-    """Matched-pair pretraining; its params are both pretrained bottoms,
-    without the match-task top."""
-
-    def build():
-        with session_factory() as session:
-            history = _pretrain_in(session, config)
-        # no message answers the last gradient, so only close(), which waits
-        # for the in-process passive party to return, orders its last update
-        # before this copy, which the cache keeps apart from live arrays
-        params = {k: v.copy() for k, v in session.params().items() if not k.startswith("top.")}
-        return {"params": params, "history": history}
-
-    return ctx.stage(_pretrain_key(config), build)
+def _stage_mpd_pretrain(config, dataset, session_factory, done=None):
+    """Matched-pair pretraining against a disposable match-task top; its
+    params are both pretrained bottoms, without that top."""
+    with session_factory() as session:
+        session.active.top = TopModel.create(
+            session.active.bottom.out_dim + config.bottom_b[-1],
+            config.top,
+            rng_for(config.seed, STREAM_INIT_MPD_TOP),
+        )
+        settings = _settings(config, lr=config.lr, epochs=config.pretrain_epochs,
+                             batch=config.batch_pretrain, stage="mpd", patience=None)
+        history = mpd_mod.pretrain(session.active, settings, k=config.k)
+    # no message answers the last gradient, so only close(), which waits for
+    # the in-process passive party to return, orders its last update before
+    # this copy, which the cache keeps apart from live arrays
+    params = {k: v.copy() for k, v in session.params().items() if not k.startswith("top.")}
+    return {"params": params, "history": history}
 
 
 def _score_fed(config, dataset, session) -> dict:
@@ -624,87 +595,67 @@ def _score_fed(config, dataset, session) -> dict:
     }
 
 
-def _stage_fed_train(config, dataset, ctx, session_factory, done):
+def _stage_fed_train(config, dataset, session_factory, done):
     """One federated supervised stage, scored on the test segment.
 
     After pretraining it fine-tunes from both pretrained bottoms at the
     fine-tune learning rate; otherwise both bottoms start fresh."""
     pre = done.get("mpd-pretrain")
-    if pre is None:
-        lr, stage_key, parents = config.lr, "vfl", ()
-    else:
-        lr, stage_key, parents = config.finetune_lr, "vfl-mpd-ft", _pretrain_key(config)
-    key = _fed_key(config, stage_key, lr, parents)
-
-    def build():
-        with session_factory() as session:
-            # stages are self-contained: bottoms come from the pretraining
-            # checkpoint or a deterministic fresh init, and the supervised
-            # top is always fresh (the match-task top is never reused), so
-            # a shared TCP session replays the in-process stage exactly
-            if pre is not None:
-                session.set_params(pre["params"])
-            else:
-                session.active.bottom = BottomModel.create(
-                    dataset.schema_a, config.bottom_a,
-                    rng_for(config.seed, STREAM_INIT_BOTTOM_A),
-                )
-                session.reinit_passive([config.seed, STREAM_INIT_BOTTOM_B])
-            session.active.top = TopModel.create(
-                session.active.bottom.out_dim + config.bottom_b[-1],
-                config.top,
-                rng_for(config.seed, STREAM_INIT_TOP),
+    lr, tag = (config.lr, "vfl") if pre is None else (config.finetune_lr, "vfl-mpd-ft")
+    with session_factory() as session:
+        # stages are self-contained: bottoms come from the pretraining
+        # checkpoint or a deterministic fresh init, and the supervised top is
+        # always fresh (the match-task top is never reused), so a shared TCP
+        # session replays the in-process stage exactly
+        if pre is not None:
+            session.set_params(pre["params"])
+        else:
+            session.active.bottom = BottomModel.create(
+                dataset.schema_a, config.bottom_a,
+                rng_for(config.seed, STREAM_INIT_BOTTOM_A),
             )
-            settings = _settings(config, lr=lr, epochs=config.epochs,
-                                 batch=config.batch_train, stage="fed",
-                                 patience=config.patience)
-            history = train_supervised(session.active, settings)
-            out = {"key": key, "history": history, **_score_fed(config, dataset, session)}
-            if config.out_dir:
-                session.save_passive(stage_key)
-            return out
-
-    # a stage served from the cache opens no session, so party B's
-    # checkpoint comes from the cached parameters as well
-    cached = key in ctx.cache
-    out = ctx.stage(key, build)
-    if config.out_dir:
-        _save_fed_checkpoint(config, dataset, out["params"], stage_key, with_b=cached)
-    return out
+            session.reinit_passive([config.seed, STREAM_INIT_BOTTOM_B])
+        session.active.top = TopModel.create(
+            session.active.bottom.out_dim + config.bottom_b[-1],
+            config.top,
+            rng_for(config.seed, STREAM_INIT_TOP),
+        )
+        settings = _settings(config, lr=lr, epochs=config.epochs, batch=config.batch_train,
+                             stage="fed", patience=config.patience)
+        history = train_supervised(session.active, settings)
+        if config.out_dir:
+            session.save_passive(tag)
+        return {"checkpoint": tag, "history": history, **_score_fed(config, dataset, session)}
 
 
-def _save_fed_checkpoint(config, dataset, params, stage_key, *, with_b):
+def _save_fed_checkpoint(config, dataset, params, tag, *, with_b):
     run_dir = Path(_run_dir(config))
     schema_hash = schema_pair_hash(dataset.schema_a, dataset.schema_b)
-    (run_dir / stage_key).mkdir(parents=True, exist_ok=True)
+    (run_dir / tag).mkdir(parents=True, exist_ok=True)
     save_checkpoint(
-        run_dir / stage_key / "party_a.ckpt",
+        run_dir / tag / "party_a.ckpt",
         {k: v for k, v in params.items() if not k.startswith("b.")},
-        schema_hash, meta={"stage": stage_key, "config_hash": config.config_hash()},
+        schema_hash, meta={"stage": tag, "config_hash": config.config_hash()},
     )
     if with_b:
-        save_passive_checkpoint(run_dir, stage_key, _strip(params, "b"), schema_hash)
+        save_passive_checkpoint(run_dir, tag, _strip(params, "b"), schema_hash)
 
 
-def _stage_soft_labels(config, dataset, ctx, session_factory, done, *, segment):
+def _stage_soft_labels(config, dataset, session_factory, done, *, segment):
     """The frozen teacher's probabilities over one segment; the stage
     before this one is the teacher."""
     *_, teacher = done.values()
-
-    def build():
-        with session_factory() as session:
-            session.set_params(teacher["params"])
-            return teacher_predict(
-                session.active, segment, batch_size=config.eval_batch, seed=config.seed,
-            )
-
-    return {"soft": ctx.stage(("soft-labels", segment, teacher["key"]), build)}
+    with session_factory() as session:
+        session.set_params(teacher["params"])
+        return {"soft": teacher_predict(
+            session.active, segment, batch_size=config.eval_batch, seed=config.seed,
+        )}
 
 
-def _stage_self_train(config, dataset, ctx, session_factory, done):
+def _stage_self_train(config, dataset, session_factory, done):
     """Self-training: a fresh model learns the teacher's soft view of the
-    unlabeled rows (recorded as done["fed-train-soft"]), then fine-tunes on
-    the hard labels and is scored, all in one session."""
+    unlabeled rows (the "fed-train-soft" phase), then fine-tunes on the
+    hard labels and is scored, all in one session."""
     with session_factory() as session:
         session.reinit_passive([config.seed, STREAM_INIT_BOTTOM_B, 2])
         session.active.bottom = BottomModel.create(
@@ -718,15 +669,16 @@ def _stage_self_train(config, dataset, ctx, session_factory, done):
         settings = _settings(config, lr=config.lr, epochs=config.epochs,
                              batch=config.batch_train, stage="soft",
                              patience=config.patience)
-        done["fed-train-soft"] = {"history": train_supervised(
+        soft = train_supervised(
             session.active, settings,
             train_segment="unlabeled", train_targets=done["soft-labels"]["soft"].probs,
             phase_name="soft",
-        )}
+        )
         ft = _settings(config, lr=config.finetune_lr, epochs=config.epochs,
                        batch=config.batch_train, stage="fed", patience=config.patience)
         history = train_supervised(session.active, ft)
-        return {"history": history, **_score_fed(config, dataset, session)}
+        return {"history": history, "phases": {"fed-train-soft": {"history": soft}},
+                **_score_fed(config, dataset, session)}
 
 
 # ---------------------------------------------------------------------------
@@ -736,40 +688,63 @@ def _stage_self_train(config, dataset, ctx, session_factory, done):
 
 class Stage(NamedTuple):
     name: str
-    # None: the next stage's function records this one, in the same session
+    # None: the next stage's function runs this one, in the same session
     fn: Callable | None
+    # the config fields that fn reads on this row, besides the data and seed
+    reads: tuple = ()
     # a local stage trains party A alone, so it may use the caller's stage
     # cache under any transport
     local: bool = False
 
 
+def stage_key(stage: Stage, config: ExperimentConfig, parent) -> tuple:
+    """The stage-cache key of one row's stage: its function and the
+    arguments bound to it, the data, the seed, the values of the fields it
+    reads, and `parent`, the key of the row's previous stage that has a
+    function, which stands for everything the stage's inputs came from."""
+    fn = stage.fn
+    return (getattr(fn, "func", fn).__name__, tuple(sorted(getattr(fn, "keywords", {}).items())),
+            config.data_key(), config.seed,
+            tuple((name, getattr(config, name)) for name in sorted(stage.reads)), parent)
+
+
+# what the supervised trainers read besides their learning rates: a local
+# one, and a federated one, which also builds B's bottom and scores in
+# batches; the soft labels load their teacher into a fresh session
+_LOCAL_READS = ("bottom_a", "top", "l2", "batch_train", "epochs", "patience")
+_FED_READS = _LOCAL_READS + ("bottom_b", "eval_batch")
+_SOFT_READS = ("bottom_a", "bottom_b", "top", "eval_batch")
+_PRETRAIN = Stage("mpd-pretrain", _stage_mpd_pretrain,
+                  ("bottom_a", "bottom_b", "top", "lr", "l2", "batch_pretrain",
+                   "pretrain_epochs", "k"))
+
 PIPELINES = {
-    "baseline-local": (Stage("local-train", _stage_baseline_local, local=True),),
-    "vfl": (Stage("fed-train", _stage_fed_train),),
+    "baseline-local": (Stage("local-train", _stage_student, _LOCAL_READS + ("lr",), local=True),),
+    "vfl": (Stage("fed-train", _stage_fed_train, _FED_READS + ("lr",)),),
     "vfl-st": (
-        Stage("fed-train-teacher", _stage_fed_train),
-        Stage("soft-labels", partial(_stage_soft_labels, segment="unlabeled")),
+        Stage("fed-train-teacher", _stage_fed_train, _FED_READS + ("lr",)),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="unlabeled"), _SOFT_READS),
         Stage("fed-train-soft", None),
-        Stage("fed-finetune", _stage_self_train),
+        Stage("fed-finetune", _stage_self_train, _FED_READS + ("lr", "finetune_lr")),
     ),
     "vfl-mpd": (
-        Stage("mpd-pretrain", _stage_mpd_pretrain),
-        Stage("fed-finetune", _stage_fed_train),
+        _PRETRAIN,
+        Stage("fed-finetune", _stage_fed_train, _FED_READS + ("finetune_lr",)),
     ),
     "local-sd": (
-        Stage("fed-train-teacher", _stage_fed_train),
-        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled")),
-        Stage("distill", _stage_student, local=True),
+        Stage("fed-train-teacher", _stage_fed_train, _FED_READS + ("lr",)),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled"), _SOFT_READS),
+        Stage("distill", _stage_student, _LOCAL_READS + ("lr", "alpha"), local=True),
     ),
     "local-mpd": (
-        Stage("mpd-pretrain", _stage_mpd_pretrain),
-        Stage("local-finetune", _stage_student, local=True),
+        _PRETRAIN,
+        Stage("local-finetune", _stage_student, _LOCAL_READS + ("finetune_lr",), local=True),
     ),
     "local-ssd": (
-        Stage("mpd-pretrain", _stage_mpd_pretrain),
-        Stage("fed-finetune-teacher", _stage_fed_train),
-        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled")),
-        Stage("distill", _stage_student, local=True),
+        _PRETRAIN,
+        Stage("fed-finetune-teacher", _stage_fed_train, _FED_READS + ("finetune_lr",)),
+        Stage("soft-labels", partial(_stage_soft_labels, segment="labeled"), _SOFT_READS),
+        Stage("distill", _stage_student, _LOCAL_READS + ("finetune_lr", "alpha"), local=True),
     ),
 }
 
@@ -849,15 +824,32 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
         sessions.append(session)
         return session
 
+    def lookup(stage, parent, done):
+        """The stage's key, its output from the cache or built, and whether
+        the cache held it."""
+        cache = ctx if stage.local else fed_ctx
+        key = stage_key(stage, config, parent)
+        hit = key in cache.cache
+        out = cache.stage(key, lambda: stage.fn(config, dataset, session_factory, done))
+        return key, out, hit
+
     stages = PIPELINES[config.method]
     done: dict = {}
+    parent = None
     failed_stage = None
     error = None
     try:
         for stage in stages:
-            if stage.fn is not None:
-                done[stage.name] = stage.fn(config, dataset, ctx if stage.local else fed_ctx,
-                                            session_factory, done)
+            if stage.fn is None:
+                continue
+            parent, out, hit = lookup(stage, parent, done)
+            if config.out_dir and "checkpoint" in out:
+                # a federated stage served from the cache opened no session,
+                # so party B's checkpoint comes from the cached parameters too
+                _save_fed_checkpoint(config, dataset, out["params"], out["checkpoint"],
+                                     with_b=hit)
+            done.update(out.get("phases", {}))
+            done[stage.name] = out
     except Exception as exc:
         failed_stage = next(s.name for s in stages if s.name not in done)
         error = f"{type(exc).__name__}: {exc}"
@@ -888,7 +880,7 @@ def run(config: ExperimentConfig, *, context: RunContext | None = None,
         if config.method == "baseline-local":
             baseline_auc = final["test_auc"]
         else:
-            base = _stage_baseline_local(config, dataset, ctx)
+            _, base, _ = lookup(PIPELINES["baseline-local"][0], None, {})
             baseline_auc = base["test_auc"]
             improvement = final["test_auc"] - baseline_auc
 
@@ -967,6 +959,10 @@ def grid(config: ExperimentConfig, grid_spec: dict, seeds=(0, 1, 2)) -> GridResu
     one RunContext, so a stage that the gridded keys do not reach trains
     once per seed.
     """
+    for name, why in (("seed", "the seeds repeat every cell"),
+                      ("method", "a grid tunes one method")):
+        if name in grid_spec:
+            raise ValidationError(f"cannot grid over '{name}': {why}")
     names = sorted(grid_spec)
     combos = [{}]
     for name in names:

@@ -1,7 +1,8 @@
-"""Command-line surface: synth, run, grid, eval, pretrain, serve-b."""
+"""Command-line surface: synth, run, grid, eval, serve-b."""
 
 import argparse
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -110,7 +111,7 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert key in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["pretrain", "serve-b"])
+    @pytest.mark.parametrize("command", ["serve-b"])
     def test_every_command_refuses_an_out_of_range_value(self, command, tmp_path):
         proc = cli(command, "--method", "vfl-mpd", "--out", str(tmp_path),
                    "--set", "hyper.k=0", "--set", "exec.recv_timeout=1", *BASE_SETS)
@@ -129,16 +130,6 @@ class TestRunCommand:
         result = json.loads(proc.stdout)
         assert [row["combo"]["epochs"] for row in result["table"]] == [1, 2]
 
-    def test_pretrain_reports_match_metrics(self, tmp_path):
-        proc = cli("pretrain", "--out", str(tmp_path), *BASE_SETS)
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert 0.0 <= payload["match_accuracy"] <= 1.0
-        run_dirs = list((tmp_path / "runs").iterdir())
-        assert run_dirs
-        assert (run_dirs[0] / "pretrained_bottom_a.ckpt").exists()
-        assert (run_dirs[0] / "party_b_pretrained.ckpt").exists()
-
     def test_run_into_a_directory_whose_name_holds_a_percent_sign(self, tmp_path):
         out = tmp_path / "100%"
         proc = cli("run", "--method", "baseline-local", "--out", str(out), *BASE_SETS)
@@ -155,6 +146,16 @@ class TestRunCommand:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert 0.0 <= payload["test_auc"] <= 1.0
+
+
+def test_the_documented_commands_are_the_registered_ones(capsys):
+    with pytest.raises(SystemExit):
+        fedsplit_cli.main(["--help"])
+    registered = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    documented = re.findall(r"^ +fedsplit ([a-z-]+) ", fedsplit_cli.__doc__, re.MULTILINE)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^ +cli\.py +([a-z /-]+);", readme, re.MULTILINE).group(1)
+    assert sorted(registered) == sorted(documented) == sorted(layout.split(" / "))
 
 
 class TestParseErrors:
@@ -198,6 +199,15 @@ class TestInputErrors:
             code, err = main_error(capsys, "serve-b", "--host", "127.0.0.1",
                                    "--port", str(port), *BASE_SETS)
         assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("axis", ["seed=1,2", "method=vfl,baseline-local"],
+                             ids=["seed", "method"])
+    def test_grid_refuses_a_key_that_is_not_a_hyperparameter(self, capsys, axis):
+        # the seeds come from --seeds, and a grid reports the one method it tunes
+        code, err = main_error(capsys, "grid", "--method", "vfl", "--grid", axis,
+                               "--seeds", "0", *BASE_SETS)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{axis.split('=')[0]}'" in err
 
     def test_missing_schema_file(self, capsys):
         code, err = main_error(capsys, "run", "--method", "baseline-local", *CSV_SETS)

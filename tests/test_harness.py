@@ -1,5 +1,6 @@
 """Experiment configs, method pipelines, run reports, and the grid."""
 
+import functools
 import json
 import socket
 import sys
@@ -14,13 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fedsplit.harness
+import fedsplit.mpd
 from fedsplit.checkpoint import load_checkpoint
 from fedsplit.data import SyntheticSpec
+from fedsplit.distill import SoftLabelCache
 from fedsplit.errors import FedSplitError, TransportError, ValidationError
 from fedsplit.harness import (
     CONFIG_KEYS,
     METHOD_STAGES,
     METHODS,
+    PIPELINES,
     ExperimentConfig,
     FedSession,
     RunContext,
@@ -30,7 +34,9 @@ from fedsplit.harness import (
     run,
     run_matrix,
     serve_party_b,
+    stage_key,
 )
+from fedsplit.metrics import MetricHistory
 from fedsplit.splitnn import PassiveParty
 from fedsplit.transport import MsgType
 
@@ -358,7 +364,7 @@ class TestRun:
             sessions.append(FedSession(config, dataset))
             return sessions[-1]
 
-        out = _stage_mpd_pretrain(config, dataset, RunContext(), session_factory)
+        out = _stage_mpd_pretrain(config, dataset, session_factory)
         final = {f"b.{k}": v for k, v in sessions[0].passive.bottom.params().items()}
         assert {k for k in out["params"] if k.startswith("b.")} == set(final)
         for name, value in final.items():
@@ -409,8 +415,7 @@ class TestRun:
         config = tiny_config(method="vfl-mpd", pretrain_epochs=1)
         dataset = load_dataset(config)
         with FedSession(config, dataset) as outer:
-            out = _stage_mpd_pretrain(config, dataset, RunContext(),
-                                      lambda: FedSession(config, dataset))
+            out = _stage_mpd_pretrain(config, dataset, lambda: FedSession(config, dataset))
             outer.reinit_passive([1, 2])
         assert any(k.startswith("b.") for k in out["params"])
 
@@ -616,3 +621,97 @@ class TestGrid:
         calls = self._count_stage_calls(monkeypatch)
         grid(config, {"eval_batch": [256, 1024]}, seeds=(0,))
         assert calls["train_supervised"] == 2
+
+
+class TestStageCache:
+    def test_the_tiny_matrix_trains_each_shared_stage_once(self, monkeypatch):
+        # a declared read that the stage never reads costs a cache hit and
+        # moves no number, so only a count of the trainings shows it
+        calls = {}
+        for module, name in ((fedsplit.harness, "train_supervised"),
+                             (fedsplit.harness, "local_train"),
+                             (fedsplit.mpd, "pretrain"),
+                             (fedsplit.harness, "teacher_predict")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        ctx = RunContext()
+        dataset = load_dataset(tiny_config())
+        for method in METHODS:
+            report = run(tiny_config(method=method), context=ctx, dataset=dataset)
+            assert report.failed_stage is None, (method, report.error)
+        assert calls == {"train_supervised": 4, "local_train": 2, "pretrain": 1,
+                         "teacher_predict": 3}
+
+
+# every stage that has a function, as (method, index in its row)
+_KEYED_STAGES = [(method, i) for method, stages in PIPELINES.items()
+                 for i, stage in enumerate(stages) if stage.fn is not None]
+# other valid values for every field a stage may read: the [hyper] and
+# [arch] sections of tiny_config
+_OTHER_VALUES = {
+    "bottom_a": [(6,), (8, 4)], "bottom_b": [(6,), (8, 4)], "top": [(3,), ()],
+    "lr": [2e-2, 5e-3], "finetune_lr": [1e-2, 1e-3], "alpha": [0.0, 0.9], "l2": [0.0, 1e-3],
+    "k": [2, 3], "batch_pretrain": [128, 200], "batch_train": [128, 200],
+    "eval_batch": [128, 300], "epochs": [1, 2], "pretrain_epochs": [1, 3], "patience": [0, 1],
+}
+
+
+@functools.cache
+def _stage_outputs(method):
+    """Every stage output of one row on the base config, and the `done`
+    mapping that each stage receives, as `run` builds them."""
+    config = tiny_config(method=method)
+    dataset = load_dataset(config)
+    done, inputs, outputs = {}, {}, {}
+    for i, stage in enumerate(PIPELINES[method]):
+        if stage.fn is None:
+            continue
+        inputs[i] = dict(done)
+        outputs[i] = stage.fn(config, dataset, lambda: FedSession(config, dataset), done)
+        done.update(outputs[i].get("phases", {}))
+        done[stage.name] = outputs[i]
+    return dataset, inputs, outputs
+
+
+def _fingerprint(value):
+    """Everything a stage output holds that a later stage or a report reads,
+    wall times aside, in a form that compares bit for bit."""
+    if isinstance(value, dict):
+        return {k: _fingerprint(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, SoftLabelCache):
+        return _fingerprint(value.probs)
+    if isinstance(value, MetricHistory):
+        return [(r.epoch, r.train_loss, r.val_auc, r.messages_sent, r.bytes_sent, r.extra)
+                for r in value.records]
+    return value
+
+
+def test_every_field_a_stage_may_read_has_other_values():
+    assert set(_OTHER_VALUES) == {name for name, key in CONFIG_KEYS.items()
+                                  if key.split(".")[0] in ("hyper", "arch")}
+
+
+@pytest.mark.parametrize("method, index", _KEYED_STAGES)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_a_stage_key_holds_every_field_its_stage_reads(method, index, data):
+    # fields outside the declared reads must not move the output, given the
+    # same inputs from earlier stages; a declared field must move the key
+    stage = PIPELINES[method][index]
+    config = tiny_config(method=method)
+    other = {name: data.draw(st.sampled_from(values), label=name)
+             for name, values in _OTHER_VALUES.items()}
+    for name in stage.reads:
+        changed = replace(config, **{name: other[name]})
+        assert stage_key(stage, changed, "parent") != stage_key(stage, config, "parent"), name
+    dataset, inputs, outputs = _stage_outputs(method)
+    perturbed = replace(config, **{k: v for k, v in other.items() if k not in stage.reads})
+    out = stage.fn(perturbed, dataset, lambda: FedSession(perturbed, dataset), inputs[index])
+    assert _fingerprint(out) == _fingerprint(outputs[index])
