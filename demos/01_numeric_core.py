@@ -53,33 +53,26 @@ state = AdamState(lr=0.1)
 adam_step(state, params, {"w": np.ones(1, dtype=np.float32)})
 print("\nfirst Adam step moves 0 by ~ -lr:", params["w"])
 
-# --- the gradient checker re-evaluates a float64 shadow of the model
-class Scorer:
-    def __init__(self, mlp):
-        self.mlp = mlp
-
-    def params(self):
-        return self.mlp.params()
-
-    def set_params(self, mapping):
-        self.mlp.set_params(mapping)
-
-
-model = Scorer(Mlp.create(4, [6, 1], rng, final_activation="identity"))
+# --- the gradient checker compares the float32 backward pass with central
+# differences of its own float64 forward over a copy of the parameters
+model = Mlp.create(4, [6, 1], rng, final_activation="identity")
 data = rng.normal(size=(10, 4)).astype(np.float32)
 targets = (rng.random(10) > 0.5).astype(np.float32)
 
 
 def loss_fn(m):
-    out, caches = m.mlp.forward(data)
+    out, caches = m.forward(data)
     value, grad_logits = bce_loss(out[:, 0], targets)
-    _, grads = m.mlp.backward(caches, grad_logits.reshape(-1, 1))
+    _, grads = m.backward(caches, grad_logits.reshape(-1, 1))
     return value, grads
 
 
-report = grad_check(model, loss_fn, tolerance=1e-3, step=1e-5)
+report = grad_check(model, data, loss_fn, lambda z: bce_loss(z, targets)[0],
+                    tolerance=1e-3, step=1e-5)
 print(f"\ngrad check: max relative error {report.max_rel_error:.2e} "
       f"over {report.n_checked} parameters -> {'PASS' if report.passed else 'FAIL'}")
+if not report.passed:
+    sys.exit(1)
 
 # --- embedding tables: gather forward, scatter-add backward
 table = EmbeddingTable.create(buckets=10, dim=4, rng=rng)

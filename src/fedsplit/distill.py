@@ -76,11 +76,11 @@ def distill_loss(
     kl_mean = float(np.mean(kl_values))
     kl_grad = kl_grad / m
     if alpha == 0.0:
-        return kl_mean, kl_grad.astype(z.dtype if z.dtype in (F32, np.float64) else F32)
+        return kl_mean, kl_grad.astype(F32)
     bce_value, bce_grad = bce_loss(logits, y)
     loss = alpha * bce_value + (1.0 - alpha) * kl_mean
     grad = alpha * bce_grad + (1.0 - alpha) * kl_grad
-    return loss, grad.astype(bce_grad.dtype)
+    return loss, grad.astype(F32)
 
 
 def distill(

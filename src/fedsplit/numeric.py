@@ -1,10 +1,11 @@
 """Dense neural-network core shared by both parties of the split model.
 
-Everything is plain numpy. Parameters and activations are float32 matrices;
-matrix products and reductions accumulate in float64 before rounding back,
-so results are reproducible bit for bit given the same inputs. The same
-kernels run unchanged on float64 arrays, which is how the gradient checker
-in `tests/oracles.py` evaluates its shadow copy of a model.
+Everything is plain numpy. Parameters, activations and gradients are
+float32, and a layer's forward and Adam refuse any other dtype. Float64 lives
+only inside reductions: matmul's accumulation, the bias gradient's sum,
+sigmoid / log-sigmoid, the losses and the Bernoulli KL. matmul, the bias
+gradient and the losses' gradients at the logits round back to float32, so
+results are reproducible bit for bit given the same inputs.
 
 Contents: dense layers (ReLU / identity), hashed-feature embedding tables,
 numerically safe sigmoid / log-sigmoid, binary cross-entropy on logits,
@@ -60,20 +61,17 @@ DENSE_TABLE_ROWS = 4096
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b accumulated in float64; float32 operands give a float32 result."""
-    out = np.matmul(a.astype(F64, copy=False), b.astype(F64, copy=False))
-    if a.dtype == F64 or b.dtype == F64:
-        return out
-    return out.astype(F32)
+    """a @ b accumulated in float64 and rounded to float32."""
+    return np.matmul(a.astype(F64, copy=False), b.astype(F64, copy=False)).astype(F32)
 
 
 def as_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a 2-D float array; return it unchanged."""
+    """Validate a 2-D float32 array; return it unchanged."""
     arr = np.asarray(x)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.dtype not in (F32, F64):
-        raise ShapeError(f"{name} must be float32/float64, got {arr.dtype}")
+    if arr.dtype != F32:
+        raise ShapeError(f"{name} must be float32, got {arr.dtype}")
     return arr
 
 
@@ -102,7 +100,7 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
 
     Labels may be soft (any value in [0, 1]); values outside that range are
     rejected. Returns (loss, dloss/dlogits) with the gradient already divided
-    by the row count.
+    by the row count, in float32.
     """
     z = np.asarray(logits)
     y = np.asarray(labels)
@@ -116,9 +114,7 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     y64 = y.astype(F64, copy=False)
     per_row = -(y64 * log_sigmoid(z64) + (1.0 - y64) * log_sigmoid(-z64))
     loss = float(per_row.sum() / per_row.size)
-    grad = ((sigmoid(z64) - y64) / float(per_row.size)).astype(
-        z.dtype if z.dtype in (F32, F64) else F64
-    )
+    grad = ((sigmoid(z64) - y64) / float(per_row.size)).astype(F32)
     return loss, grad
 
 
@@ -206,7 +202,7 @@ class DenseLayer:
         else:
             grad_pre = grad_out
         grad_w = matmul(x.T, grad_pre)
-        grad_b = grad_pre.astype(F64).sum(axis=0).astype(grad_pre.dtype)
+        grad_b = grad_pre.astype(F64).sum(axis=0).astype(F32)
         grad_x = matmul(grad_pre, self.weight.T)
         return grad_x, grad_w, grad_b
 
@@ -331,16 +327,7 @@ class Mlp:
         return out
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        """Copy every layer's tensors in (see fit_params). A value of
-        another dtype replaces its array with a copy in that dtype."""
-        values = fit_params(mapping, self.params())
-        for i, layer in enumerate(self.layers):
-            for attr in ("weight", "bias"):
-                value, live = values[f"layer{i}.{attr}"], getattr(layer, attr)
-                if value.dtype == live.dtype:
-                    np.copyto(live, value)
-                else:
-                    setattr(layer, attr, value.copy())
+        copy_in(self.params(), mapping)
 
 
 def fit_params(mapping: Mapping[str, np.ndarray],
@@ -362,6 +349,15 @@ def fit_params(mapping: Mapping[str, np.ndarray],
     return out
 
 
+def copy_in(current: Mapping[str, np.ndarray], mapping: Mapping[str, np.ndarray]) -> None:
+    """The one load rule: copy `mapping` into the arrays of `current`.
+    fit_params checks the whole mapping before any array is written, so a
+    refused mapping changes nothing. Each value is cast to float32 on the
+    way in, and every array keeps its identity."""
+    for name, value in fit_params(mapping, current).items():
+        np.copyto(current[name], value)
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction; L2 is added to the gradient before the
@@ -370,10 +366,10 @@ class AdamState:
     bias.
 
     The first step fixes everything the state will ever hold (`layout`):
-    the (name, shape, dtype) list of its parameters and each parameter's
-    path. m and v map each parameter name to its moments. Those of the
-    flat-sweep parameters are views into one flat buffer each, laid out
-    together with adam_step's two flat work buffers.
+    the (name, shape, dtype) list of its float32 parameters and each
+    parameter's path. m and v map each parameter name to its moments. Those
+    of the flat-sweep parameters are views into one flat buffer each, laid
+    out together with adam_step's two flat work buffers.
 
     live maps each table (or block) on the live-row path to the sorted
     rows its gradients have touched; every other row of it still has
@@ -420,8 +416,7 @@ def _lay_out(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
             state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
         else:
             flat.append((name, p.shape))
-    dtype = key[0][2] if key else F32
-    m, v, w1, w2 = (np.zeros(sum(math.prod(s) for _, s in flat), dtype) for _ in range(4))
+    m, v, w1, w2 = (np.zeros(sum(math.prod(s) for _, s in flat), F32) for _ in range(4))
     views = {}
     start = 0
     for name, shape in flat:
@@ -452,7 +447,6 @@ def _screen(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
             f"this Adam state steps {[k[0] for k in state.layout.key]}, fixed by its "
             "first step; every step must name them in that order, with the same "
             "shapes and dtype")
-    dtype = key[0][2] if key else None
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -463,9 +457,9 @@ def _screen(state: AdamState, key: tuple, params: Mapping[str, np.ndarray],
             raise ShapeError(f"'{name}' takes the live-row path: it needs a "
                              "row-sparse gradient and a C-contiguous table")
         f = g.values if isinstance(g, RowSparseGrad) else g
-        if f.dtype != p.dtype or p.dtype != dtype:
+        if f.dtype != F32 or p.dtype != F32:
             raise ShapeError(f"'{name}' has a {f.dtype} gradient for a {p.dtype} param; "
-                             f"every gradient and param of a step must be {dtype}")
+                             "every gradient and param must be float32")
         if finite and not np.all(np.isfinite(f)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
 
@@ -484,8 +478,8 @@ def adam_step(
 
     The first step fixes the state's parameters and their paths (see
     AdamState). Every step is screened before the step count, a moment or a
-    parameter moves. It is refused for a gradient whose shape or dtype does
-    not match its parameter, parameters of more than one dtype, or a
+    parameter moves. It is refused for a gradient whose shape does not match
+    its parameter, a parameter or gradient that is not float32, or a
     non-finite element; a later step also for other parameters than the
     first's (StateError) or a dense gradient for a live-row table
     (ShapeError).
@@ -537,7 +531,7 @@ def adam_step(
     for name in state.live:
         p, g = params[name], grads[name]
         live = _live_rows(state, name, g.rows)
-        w1 = np.zeros((live.size, p.shape[1]), dtype=p.dtype)
+        w1 = np.zeros((live.size, p.shape[1]), dtype=F32)
         w1[np.searchsorted(live, g.rows)] = _row_values(state, p, g)
         gathered = [np.take(a, live, axis=0) for a in (p, state.m[name], state.v[name])]
         p_live, m_live, v_live = gathered

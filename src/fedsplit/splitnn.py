@@ -46,7 +46,7 @@ from .numeric import (
     Mlp,
     adam_step,
     bce_loss,
-    fit_params,
+    copy_in,
     sigmoid,
 )
 from .transport import Channel, MsgType
@@ -152,10 +152,8 @@ class BottomModel:
     (`_EmbedGroup`), so a batch costs one lookup and one gradient per embed
     dim, not one per field, and backward and step_params() give the
     optimizer the block. `embeddings[name].table` is that field's view of
-    its block, and params() are those of separate tables. set_params copies
-    into the views; a value of another dtype (the float64 shadow of
-    `tests/oracles.grad_check`) first lays its group out again in that
-    dtype, as `Mlp.set_params` replaces an array.
+    its block, and params() are those of separate tables; set_params copies
+    into the views.
     """
 
     def __init__(self, schema: PartySchema, embeddings: dict[str, EmbeddingTable], mlp: Mlp):
@@ -190,12 +188,9 @@ class BottomModel:
                 offsets=np.concatenate(([0], np.cumsum(buckets))),
                 key=f"emb.dim{dim}",
             )
-            self._bind(group)
+            for name, lo, hi in zip(names, group.offsets, group.offsets[1:]):
+                embeddings[name].table = group.block.table[lo:hi]
             self.groups.append(group)
-
-    def _bind(self, group: _EmbedGroup) -> None:
-        for name, lo, hi in zip(group.names, group.offsets, group.offsets[1:]):
-            self.embeddings[name].table = group.block.table[lo:hi]
 
     @classmethod
     def create(cls, schema: PartySchema, widths, rng: np.random.Generator) -> "BottomModel":
@@ -232,8 +227,7 @@ class BottomModel:
         n = block.n_rows
         looked = [group.block.lookup(r).reshape(n, group.dim * len(group.names))
                   for group, r in zip(self.groups, rows)]
-        dtypes = [x.dtype for x in looked] + ([block.num.dtype] if self._n_num else [])
-        x0 = np.empty((n, self._width), dtype=np.result_type(*dtypes))
+        x0 = np.empty((n, self._width), dtype=F32)
         for group, x in zip(self.groups, looked):
             x0[:, group.x_cols] = x
         if self._n_num:
@@ -263,15 +257,7 @@ class BottomModel:
         return out
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
-        values = fit_params(mapping, self.params())
-        for group in self.groups:
-            dtype = np.result_type(*(values[f"emb.{name}"] for name in group.names))
-            if dtype != group.block.table.dtype:
-                group.block.table = group.block.table.astype(dtype)
-                self._bind(group)
-        for name, table in self.embeddings.items():
-            np.copyto(table.table, values[f"emb.{name}"])
-        self.mlp.set_params(_strip(values, "mlp"))
+        copy_in(self.params(), mapping)
 
 
 class TopModel:
@@ -321,7 +307,7 @@ class Composite:
     """A holder of named parts that its parts() lists as {prefix: part} in
     order. params() and step_params() name each part's tensors
     `<prefix>.<name>`. set_params copies in the parts a mapping names, each
-    in full, and checks all of them before it loads any.
+    in full, and checks all of them before it loads any (numeric.copy_in).
     """
 
     def params(self) -> dict[str, np.ndarray]:
@@ -336,11 +322,8 @@ class Composite:
 
     def set_params(self, mapping: Mapping[str, np.ndarray]) -> None:
         named = {key.split(".", 1)[0] for key in mapping}
-        fit_params(mapping, {k: v for k, v in self.params().items()
-                             if k.split(".", 1)[0] in named})
-        for prefix, part in self.parts().items():
-            if prefix in named:
-                part.set_params(_strip(mapping, prefix))
+        copy_in({k: v for k, v in self.params().items() if k.split(".", 1)[0] in named},
+                mapping)
 
 
 class LocalModel(Composite):

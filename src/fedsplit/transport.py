@@ -120,22 +120,24 @@ def encode_frame(msg: ProtocolMessage) -> bytes:
     return header + body
 
 
-def _unpack_header(header: bytes) -> tuple:
+def _unpack_header(header: bytes) -> tuple[MsgType, int, int, int]:
+    """(type, round, rows, cols) of a header whose length, magic, wire
+    version and type code are all valid; any other is a ProtocolError."""
     if len(header) != _HEADER.size:
         raise ProtocolError(f"frame header has {len(header)} bytes, not {_HEADER.size}")
-    return _HEADER.unpack(header)
-
-
-def decode_frame(header: bytes, body: bytes) -> ProtocolMessage:
-    magic, version, type_code, round_no, rows, cols = _unpack_header(header)
+    magic, version, type_code, round_no, rows, cols = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise ProtocolError(f"unsupported wire version {version}")
     try:
-        msg_type = MsgType(type_code)
+        return MsgType(type_code), round_no, rows, cols
     except ValueError:
         raise ProtocolError(f"unknown message type {type_code}") from None
+
+
+def decode_frame(header: bytes, body: bytes) -> ProtocolMessage:
+    msg_type, round_no, rows, cols = _unpack_header(header)
     if msg_type in MATRIX_TYPES:
         expected = rows * cols * 4
         if len(body) != expected:
@@ -148,13 +150,7 @@ def decode_frame(header: bytes, body: bytes) -> ProtocolMessage:
 
 
 def body_length(header: bytes) -> int:
-    magic, _, type_code, _, rows, cols = _unpack_header(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    try:
-        msg_type = MsgType(type_code)
-    except ValueError:
-        raise ProtocolError(f"unknown message type {type_code}") from None
+    msg_type, _, rows, cols = _unpack_header(header)
     n = rows * cols * 4 if msg_type in MATRIX_TYPES else cols
     if n > MAX_BODY:
         raise ProtocolError(f"frame header claims a {n}-byte body, over {MAX_BODY}")

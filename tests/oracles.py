@@ -1,8 +1,9 @@
 """Test oracles and probe fixtures shared by the tests, the calibration
 driver and the demos. Nothing in the library calls them.
 
-- `grad_check`: central differences on a float64 shadow copy of a model,
-  compared with its analytic gradients;
+- `grad_check`: a model's float32 analytic gradients against central
+  differences of `reference_logits`, an independent float64 forward that
+  reads only the model's structure;
 - `dense_grad`: a row-sparse embedding gradient as its full table;
 - `per_table_bottom`: a bottom's forward and backward with one lookup and
   one gradient per table, the reference for its grouped embedding path;
@@ -39,7 +40,7 @@ from fedsplit.data import (
 )
 from fedsplit.errors import ValidationError
 from fedsplit.metrics import EpochRecord, MetricHistory
-from fedsplit.numeric import F32, F64, EmbeddingTable, RowSparseGrad
+from fedsplit.numeric import F32, F64, RELU, EmbeddingTable, Mlp, RowSparseGrad
 from fedsplit.splitnn import BottomModel, SplitModel
 
 
@@ -64,55 +65,84 @@ class GradCheckReport:
 
 def grad_check(
     model,
+    inputs,
     loss_fn: Callable,
+    logit_loss: Callable,
     tolerance: float = 1e-3,
     step: float = 1e-5,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central differences on a float64
-    shadow copy of the model.
+    """Compare a model's analytic gradients, as it computes them in float32,
+    with central differences of an independent float64 forward.
 
-    `model` must expose params() / set_params(). The shadow is what params()
-    returns after set_params of float64 copies (a value of another dtype
-    makes set_params replace a dense layer's array with a float64 copy and
-    lay an embedding group out again in float64), so perturbing a shadow
-    entry in place re-evaluates the model at the perturbed point.
-    `loss_fn(model)` must run a full forward and backward pass and return
-    (loss, grads) keyed as the model's backward keys them; an embed-dim
-    group's gradient is cut into its fields' (`per_field`), and a row-sparse
-    embedding gradient is densified before the comparison. The analytic
-    gradients are taken from the same float64 evaluation, so the comparison
-    is free of float32 rounding.
+    `loss_fn(model)` runs the model's own forward and backward on `inputs`
+    once and returns (loss, grads) keyed as its backward keys them; an
+    embed-dim group's gradient is cut into its fields' (`per_field`), and a
+    row-sparse embedding gradient is densified. The differences perturb a
+    float64 copy of model.params() one entry at a time and score
+    `logit_loss(reference_logits(model, params, inputs))`, where
+    `logit_loss` maps float64 logits to the loss. The model is never
+    written.
     """
-    originals = dict(model.params())
-    model.set_params({k: v.astype(F64) for k, v in originals.items()})
-    shadow = dict(model.params())
-    try:
-        analytic = per_field(model, loss_fn(model)[1])
-        worst = 0.0
-        worst_name = ""
-        n = 0
-        for name, arr in shadow.items():
-            flat = arr.reshape(-1)
-            a_flat = np.asarray(dense_grad(analytic[name]), dtype=F64).reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                loss_plus, _ = loss_fn(model)
-                flat[i] = orig - step
-                loss_minus, _ = loss_fn(model)
-                flat[i] = orig
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
-                denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-                err = abs(a_flat[i] - numeric) / denom
-                n += 1
-                if err > worst:
-                    worst = err
-                    worst_name = name
-    finally:
-        model.set_params(originals)
+    analytic = per_field(model, loss_fn(model)[1])
+    params = {name: value.astype(F64) for name, value in model.params().items()}
+    worst = 0.0
+    worst_name = ""
+    n = 0
+    for name, arr in params.items():
+        flat = arr.reshape(-1)
+        a_flat = np.asarray(dense_grad(analytic[name]), dtype=F64).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            loss_plus = logit_loss(reference_logits(model, params, inputs))
+            flat[i] = orig - step
+            loss_minus = logit_loss(reference_logits(model, params, inputs))
+            flat[i] = orig
+            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
+            err = abs(a_flat[i] - numeric) / denom
+            n += 1
+            if err > worst:
+                worst = err
+                worst_name = name
     return GradCheckReport(
         max_rel_error=worst, worst_param=worst_name, tolerance=tolerance, n_checked=n
     )
+
+
+def reference_logits(model, params, inputs) -> np.ndarray:
+    """The float64 logits of `model` at `params` (keyed as model.params()).
+
+    `model` is an Mlp whose last layer has one unit, on an input matrix, or
+    a LocalModel, on a feature block. The forward reads only structure from
+    the model (the bottom's schema and each layer's activation): it looks
+    each categorical field up in its own table, in schema order, places the
+    numeric columns between them, and runs the dense stacks.
+    """
+    if isinstance(model, Mlp):
+        return _dense_stack(model.layers, params, "", np.asarray(inputs, dtype=F64))[:, 0]
+    pieces = []
+    cat_j = num_j = 0
+    for f in model.bottom.schema.fields:
+        if f.kind == CATEGORICAL:
+            pieces.append(params[f"bottom.emb.{f.name}"][inputs.cat[:, cat_j]])
+            cat_j += 1
+        else:
+            pieces.append(inputs.num[:, num_j : num_j + 1].astype(F64))
+            num_j += 1
+    h = _dense_stack(model.bottom.mlp.layers, params, "bottom.mlp.",
+                     np.concatenate(pieces, axis=1))
+    return _dense_stack(model.top.mlp.layers, params, "top.", h)[:, 0]
+
+
+def _dense_stack(layers, params, prefix: str, x: np.ndarray) -> np.ndarray:
+    """act(x @ W + b) through `layers`, with each layer's W and b taken from
+    params as `<prefix>layer<i>.weight` and `.bias`."""
+    for i, layer in enumerate(layers):
+        x = x @ params[f"{prefix}layer{i}.weight"] + params[f"{prefix}layer{i}.bias"]
+        if layer.activation == RELU:
+            x = np.maximum(x, 0.0)
+    return x
 
 
 # ---------------------------------------------------------------------------

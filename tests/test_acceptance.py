@@ -153,34 +153,25 @@ class TestCriterion01SplitMonolithEquivalence:
 class TestCriterion02GradientCorrectness:
     TOL = 1e-3
 
-    class _Wrap:
-        def __init__(self, mlp):
-            self.mlp = mlp
-
-        def params(self):
-            return self.mlp.params()
-
-        def set_params(self, mapping):
-            self.mlp.set_params(mapping)
-
     def test_every_layer_and_both_losses(self):
         t0 = time.time()
         rng = np.random.default_rng(7)
         worst = {}
 
         # dense stacks (identity head + relu hidden) against BCE
-        model = self._Wrap(Mlp.create(4, [6, 1], rng, final_activation="identity"))
-        model.mlp.layers[0].bias += np.sign(rng.normal(size=6)).astype(F32) * 0.7
+        mlp = Mlp.create(4, [6, 1], rng, final_activation="identity")
+        mlp.layers[0].bias += np.sign(rng.normal(size=6)).astype(F32) * 0.7
         x = rng.normal(size=(10, 4)).astype(F32)
         y = (rng.random(10) > 0.5).astype(F32)
 
         def bce_fn(m):
-            out, caches = m.mlp.forward(x)
+            out, caches = m.forward(x)
             loss, grad = bce_loss(out[:, 0], y)
-            _, grads = m.mlp.backward(caches, grad.reshape(-1, 1))
+            _, grads = m.backward(caches, grad.reshape(-1, 1))
             return loss, grads
 
-        report = grad_check(model, bce_fn, tolerance=self.TOL, step=1e-5)
+        report = grad_check(mlp, x, bce_fn, lambda z: bce_loss(z, y)[0],
+                            tolerance=self.TOL, step=1e-5)
         assert report.passed, report
         worst["dense+bce"] = report.max_rel_error
 
@@ -203,7 +194,8 @@ class TestCriterion02GradientCorrectness:
             loss, grad = bce_loss(logits, y2)
             return loss, m.backward(cache, grad)
 
-        report = grad_check(local, local_fn, tolerance=self.TOL, step=1e-5)
+        report = grad_check(local, block, local_fn, lambda z: bce_loss(z, y2)[0],
+                            tolerance=self.TOL, step=1e-5)
         assert report.passed, report
         worst["embedding-model+bce"] = report.max_rel_error
 
@@ -215,7 +207,9 @@ class TestCriterion02GradientCorrectness:
             loss, grad = distill_loss(logits, y2, soft, alpha=0.4)
             return loss, m.backward(cache, grad)
 
-        report = grad_check(local, blended_fn, tolerance=self.TOL, step=1e-5)
+        report = grad_check(local, block, blended_fn,
+                            lambda z: distill_loss(z, y2, soft, alpha=0.4)[0],
+                            tolerance=self.TOL, step=1e-5)
         assert report.passed, report
         worst["model+kl-blend"] = report.max_rel_error
 

@@ -442,6 +442,26 @@ def test_tcp_recv_on_arbitrary_bytes_decodes_or_raises_typed(chunks):
     pytest.fail("recv never reached the end of the stream")
 
 
+def test_a_wrong_wire_version_is_refused_before_its_body_is_read():
+    # the header claims a 4 MB body that never comes: reading it would wait
+    # out the whole timeout and fail as a TransportTimeout
+    header = bytearray(claimed_header(MsgType.ACTIVATION, 1000, 1000))
+    header[4] = 2
+    with pytest.raises(ProtocolError, match="unsupported wire version 2"):
+        body_length(bytes(header))
+    ours, theirs = socket.socketpair()
+    sender, receiver = TcpChannel(ours), TcpChannel(theirs, timeout=2.0)
+    try:
+        sender._write(bytes(header))
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="unsupported wire version 2"):
+            receiver.recv()
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        sender.close()
+        receiver.close()
+
+
 def test_tcp_channel_runs_over_a_unix_socketpair():
     # TCP_NODELAY, which a Unix socket refuses, is set on TCP sockets only
     ours, theirs = socket.socketpair()
