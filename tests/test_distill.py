@@ -133,6 +133,17 @@ class TestDistillLoss:
             fd = (distill_loss(zp, y, soft, 0.3)[0] - distill_loss(zm, y, soft, 0.3)[0]) / (2 * step)
             np.testing.assert_allclose(grad[i], fd, rtol=1e-4, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_logit_gradient_is_float32_for_float64_logits(self, alpha):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=8).astype(F32)
+        y = (rng.random(8) > 0.5).astype(F32)
+        soft = rng.random(8).astype(F32)
+        loss, grad = distill_loss(logits.astype(np.float64), y, soft, alpha)
+        ref_loss, ref_grad = distill_loss(logits, y, soft, alpha)
+        assert grad.dtype == F32 and loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
 
 def params_checksum(params):
     return hashlib.sha256(

@@ -20,7 +20,7 @@ from fedsplit.numeric import (
     log_sigmoid,
     sigmoid,
 )
-from oracles import dense_grad, grad_check, reference_adam_step
+from oracles import dense_grad, grad_check, reference_adam_step, reference_logits
 
 F32 = np.float32
 F64 = np.float64
@@ -337,6 +337,46 @@ class TestAdamMatchesReference:
                 assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
                 assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
 
+    @pytest.mark.parametrize("decay", ["none", "full", "rows"])
+    def test_a_later_float64_step_is_refused_and_the_next_still_match(self, decay):
+        # float32 is the one parameter dtype: a float64 gradient or param
+        # after the layout is fixed moves nothing, and the steps after it
+        # match a reference that never saw it
+        rng = np.random.default_rng(7)
+        shapes = {"w": (6, 4), "b": (4,), "emb": (16, 3)}
+        start = {k: rng.normal(size=s).astype(F32) for k, s in shapes.items()}
+        kwargs = {"lr": 3e-2, "l2": 0.0 if decay == "none" else 1e-2}
+        ours, ref = AdamState(**kwargs), AdamState(**kwargs)
+        p_ours = {k: a.copy() for k, a in start.items()}
+        p_ref = {k: a.copy() for k, a in start.items()}
+
+        def draw():
+            grads = {k: rng.normal(size=s).astype(F32) for k, s in shapes.items()}
+            if decay == "rows":
+                grads["emb"] = EmbeddingTable(table=p_ours["emb"]).grad(
+                    rng.integers(0, 16, size=7), rng.normal(size=(7, 3)).astype(F32))
+            return grads
+
+        for step in range(12):
+            grads = draw()
+            if step == 5:
+                before = snapshot(ours, p_ours)
+                g = grads["emb"]
+                grads64 = dict(grads, emb=RowSparseGrad(g.rows, g.values.astype(F64), g.shape)
+                               if isinstance(g, RowSparseGrad) else g.astype(F64))
+                with pytest.raises(ShapeError, match="'emb' has a float64 gradient"):
+                    adam_step(ours, p_ours, grads64)
+                assert snapshot(ours, p_ours) == before
+                with pytest.raises(StateError, match="same shapes and dtype"):
+                    adam_step(ours, dict(p_ours, b=p_ours["b"].astype(F64)), grads)
+                assert snapshot(ours, p_ours) == before
+            adam_step(ours, p_ours, grads)
+            reference_adam_step(ref, p_ref, grads)
+            for name in shapes:
+                assert p_ours[name].tobytes() == p_ref[name].tobytes(), (step, name)
+                assert ours.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert ours.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+
     # per step, a 6-index batch's row-sparse gradient ("s") or the same
     # gradient as a dense table ("d"), over a table above DENSE_TABLE_ROWS
     # rows, which takes the live-row path if its first step is row-sparse
@@ -579,6 +619,16 @@ class TestBceLoss:
             fd = (bce_loss(zp, y)[0] - bce_loss(zm, y)[0]) / (2 * step)
             np.testing.assert_allclose(grad[i], fd, rtol=1e-4, atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [F32, F64])
+    def test_logit_gradient_is_float32_for_either_logit_dtype(self, dtype):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=7).astype(F32)
+        y = rng.random(7).astype(F32)
+        loss, grad = bce_loss(z.astype(dtype), y)
+        ref_loss, ref_grad = bce_loss(z, y)
+        assert grad.dtype == F32 and loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
 
 class TestBernoulliKl:
     def test_identical_distributions(self):
@@ -695,6 +745,18 @@ class TestGradCheck:
 
         report = self._check(mlp, x, y, corrupted, tolerance=1e-3)
         assert not report.passed
+
+    def test_reference_logits_match_the_float32_forward(self):
+        # the oracle's own forward agrees with the model's to float32
+        # rounding at the model's parameters
+        rng = np.random.default_rng(6)
+        mlp = Mlp.create(5, [7, 4, 1], rng, final_activation="identity")
+        x = rng.normal(size=(10, 5)).astype(F32)
+        params = {k: v.astype(F64) for k, v in mlp.params().items()}
+        ref = reference_logits(mlp, params, x)
+        out, _ = mlp.forward(x)
+        assert ref.dtype == F64 and ref.shape == (10,)
+        np.testing.assert_allclose(out[:, 0], ref, rtol=1e-5, atol=1e-6)
 
     def test_restores_float32_params(self):
         # the oracle perturbs its own float64 copy and never writes the model

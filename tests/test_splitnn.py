@@ -46,9 +46,17 @@ from fedsplit.splitnn import (
     train_supervised,
 )
 from fedsplit.transport import MsgType, inproc_pair
-from oracles import dense_grad, grad_check, per_field, per_table_bottom, reference_adam_step
+from oracles import (
+    dense_grad,
+    grad_check,
+    per_field,
+    per_table_bottom,
+    reference_adam_step,
+    reference_logits,
+)
 
 F32 = np.float32
+F64 = np.float64
 
 
 def numeric_schema(party, d):
@@ -625,6 +633,40 @@ class TestGroupedEmbeddings:
         assert set(grads) == set(ref_grads) == set(bottom.params())
         for name, g in grads.items():
             assert grad_bytes(g) == grad_bytes(ref_grads[name]), name
+
+    @pytest.mark.parametrize("case", sorted(GROUPED_SCHEMAS))
+    def test_a_float64_load_copies_into_the_group_blocks(self, case):
+        # each group keeps its float32 block, its fields' tables stay views
+        # of it, and the loaded bottom still matches the per-table reference
+        bottom, block = grouped_case(case, 9, seed=len(case))
+        blocks = {g.key: g.block.table for g in bottom.groups}
+        rng = np.random.default_rng(len(case))
+        values = {name: rng.normal(size=a.shape) for name, a in bottom.params().items()}
+        bottom.set_params(values)
+        for g in bottom.groups:
+            assert g.block.table is blocks[g.key] and g.block.table.dtype == F32
+            loaded = np.concatenate([values[f"emb.{name}"] for name in g.names]).astype(F32)
+            assert g.block.table.tobytes() == loaded.tobytes(), g.key
+        h, cache = bottom.forward(block)
+        grad_h = np.random.default_rng(1).normal(size=h.shape).astype(F32)
+        grads = per_field(bottom, bottom.backward(cache, grad_h))
+        ref_h, ref_grads = per_table_bottom(bottom, block, grad_h)
+        assert h.tobytes() == ref_h.tobytes()
+        for name, g in grads.items():
+            assert grad_bytes(g) == grad_bytes(ref_grads[name]), name
+
+    @pytest.mark.parametrize("case", sorted(GROUPED_SCHEMAS))
+    def test_reference_logits_match_a_local_model_forward(self, case):
+        # the grad_check oracle's float64 forward agrees with the grouped
+        # float32 one to float32 rounding
+        schema = PartySchema(party="A", fields=GROUPED_SCHEMAS[case])
+        model = LocalModel.create(schema, (5,), (3,), rng_for(len(case), 24))
+        _, block = grouped_case(case, 12, seed=len(case))
+        params = {k: v.astype(F64) for k, v in model.params().items()}
+        ref = reference_logits(model, params, block)
+        logits, _ = model.forward(block)
+        assert ref.dtype == F64 and ref.shape == logits.shape == (12,)
+        np.testing.assert_allclose(logits, ref, rtol=1e-5, atol=1e-6)
 
     def test_tables_are_views_of_one_block_per_embed_dim(self):
         bottom, _ = grouped_case("mixed-dims", 3, seed=1)
