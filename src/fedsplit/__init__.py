@@ -6,7 +6,7 @@ gradient matrix per batch; inference-time independence is recovered by
 distilling the federated model into a single-party student. Unlabeled
 aligned rows are exploited with matched-pair detection pretraining.
 
-Start with `fedsplit.harness.run` / `run_matrix` for end-to-end pipelines,
+Start with `fedsplit.harness.run` (or `grid`) for end-to-end pipelines,
 or compose the pieces directly: `data` (schemas, hashing, synthetic
 generators), `numeric` (layers, losses, Adam),
 `transport` (framed channel), `splitnn` (model containers, party runtimes,

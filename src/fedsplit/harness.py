@@ -52,7 +52,7 @@ from . import mpd as mpd_mod
 from .checkpoint import save_checkpoint
 from .data import PartitionedDataset, SyntheticSpec, load_csv, load_schema, synth_federated
 from .distill import distill, teacher_predict
-from .errors import TransportTimeout, ValidationError
+from .errors import TransportError, TransportTimeout, ValidationError
 from .metrics import auc
 from .numeric import sigmoid
 from .splitnn import (
@@ -374,10 +374,11 @@ class FedSession(Composite):
     """A live two-party session: an ActiveParty plus a served passive peer.
 
     In-process mode runs PassiveParty.serve() on a reused worker thread over
-    a queue-backed channel pair; TCP mode connects to a peer started with
-    `serve_party_b`. Either way, the active side sees the same object. An
-    in-process passive party that fails closes its channel, so the active
-    side fails at once, and leaving the session raises the passive's error.
+    a socketpair channel; TCP mode connects to a peer started with
+    `serve_party_b`. Either way, the active side sees the same object. A
+    passive party that fails closes its channel, so the active side fails at
+    once, and leaving an in-process session raises the passive's error. The
+    session closes its active end on every exit, a failed one included.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: PartitionedDataset):
@@ -405,21 +406,22 @@ class FedSession(Composite):
         else:
             chan_a = tcp_connect(config.tcp_host, config.tcp_port, timeout=config.recv_timeout)
             self.active = ActiveParty(chan_a, bottom_a, top, dataset)
-        handshake(
-            self.active.channel,
-            role="active",
-            schema_hash=self.schema_hash,
-            config_hash=self.config.config_hash(),
-        )
+        try:
+            handshake(
+                self.active.channel,
+                role="active",
+                schema_hash=self.schema_hash,
+                config_hash=self.config.config_hash(),
+            )
+        except BaseException:
+            self.active.channel.close()
+            raise
 
     def _passive_main(self):
         try:
             _serve_passive(self.passive, self.config)
         except BaseException as exc:  # surfaced on close() or __exit__
             self._passive_error.append(exc)
-        finally:
-            # end of stream: the active party's next read fails at once
-            self.passive.channel.close()
 
     def parts(self) -> dict:
         """The federated triple, named as in `SplitModel.parts()`. The `b`
@@ -438,19 +440,25 @@ class FedSession(Composite):
         self.active.channel.send_new(MsgType.CONTROL, meta={"cmd": "save", "tag": tag})
 
     def close(self) -> None:
+        """Hang up, and raise the in-process passive party's error if it
+        failed."""
+        finished = self._hang_up()
+        if self._passive_error:
+            raise self._passive_error[0]
+        if not finished:
+            raise TransportTimeout(
+                f"passive party still running {self.config.recv_timeout}s after BYE"
+            )
+
+    def _hang_up(self) -> bool:
+        """Send BYE and close the active end, then wait for an in-process
+        passive party to finish; False if it still runs after recv_timeout."""
         try:
             self.active.channel.send_new(MsgType.BYE)
         except Exception:
             pass
-        if self._passive_done is not None:
-            finished = self._passive_done.wait(timeout=self.config.recv_timeout)
-            if self._passive_error:
-                raise self._passive_error[0]
-            if not finished:
-                raise TransportTimeout(
-                    f"passive party still running {self.config.recv_timeout}s after BYE"
-                )
         self.active.channel.close()
+        return self._passive_done is None or self._passive_done.wait(self.config.recv_timeout)
 
     def __enter__(self):
         return self
@@ -458,14 +466,12 @@ class FedSession(Composite):
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.close()
-        elif self._passive_error:
-            # the passive party failed first; the active error is its symptom
+            return False
+        # a passive party that failed first closed its end under the active
+        # one, whose error is then a TransportError; else the active failed first
+        self._hang_up()
+        if isinstance(exc, TransportError) and self._passive_error:
             raise self._passive_error[0] from exc
-        else:
-            try:
-                self.active.channel.send_new(MsgType.BYE)
-            except Exception:
-                pass
         return False
 
 
@@ -484,10 +490,15 @@ def _passive_party(config: ExperimentConfig, dataset: PartitionedDataset,
 
 
 def _serve_passive(passive: PassiveParty, config: ExperimentConfig) -> None:
-    """Answer the active party's HELLO, then serve until BYE."""
-    handshake(passive.channel, role="passive", schema_hash=passive.schema_hash,
-              config_hash=config.config_hash())
-    passive.serve()
+    """Answer the active party's HELLO, then serve until BYE. The channel is
+    closed on any exit, so a fault here fails the active party's next read
+    at once."""
+    try:
+        handshake(passive.channel, role="passive", schema_hash=passive.schema_hash,
+                  config_hash=config.config_hash())
+        passive.serve()
+    finally:
+        passive.channel.close()
 
 
 def _run_dir(config: ExperimentConfig) -> str | None:
@@ -926,23 +937,6 @@ def _write_artifacts(config, report, final):
     )
 
 
-def run_matrix(config: ExperimentConfig, methods=METHODS, seeds=(0, 1, 2)) -> dict:
-    """Run several methods over several seeds, sharing stage outputs.
-
-    Returns {method: {seed: RunReport}}. In-process transport only."""
-    out: dict = {}
-    for seed in seeds:
-        ctx = RunContext()
-        seed_config = replace(config, seed=seed)
-        dataset = load_dataset(seed_config)
-        for method in methods:
-            method_config = replace(seed_config, method=method)
-            out.setdefault(method, {})[seed] = run(
-                method_config, context=ctx, dataset=dataset
-            )
-    return out
-
-
 @dataclass
 class GridResult:
     method: str
@@ -1004,4 +998,3 @@ def serve_party_b(config: ExperimentConfig) -> None:
     finally:
         server.close()
     _serve_passive(_passive_party(config, dataset, channel), config)
-    channel.close()

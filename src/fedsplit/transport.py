@@ -16,16 +16,18 @@ metadata travels as a UTF-8 block in the payload slot with rows = 0 and
 cols = byte length (rows = cols = 0 when there is no metadata either). A
 header claiming a payload over MAX_BODY bytes is refused before it is read.
 
-The in-process channel and the TCP channel run the identical encode/decode
-path, so a training run cannot observe which transport it is on. Channels
-count frames and bytes per message type and keep a transcript of frame
-headers plus payload digests.
+One Channel class carries the frames over a connected stream socket: TCP
+between two processes, or in one process the Unix socketpair of
+`inproc_pair`, a bounded stream on which one thread can write only what the
+kernel buffer holds before the peer reads. Both transports run the same
+send, read, close and timeout code, so a training run cannot observe which
+one it is on. Channels count frames and bytes per message type and keep a
+transcript of frame headers plus payload digests.
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
 import socket
 import struct
 import time
@@ -190,48 +192,44 @@ class ChannelCounters:
 
 
 class Channel:
-    """Ordered exactly-once message channel (one direction pair).
+    """Ordered exactly-once message channel over one connected stream socket.
 
-    Subclasses provide _write(bytes) and _read_exact(n, deadline_timeout).
     send() assigns the per-direction round number; recv() enforces that
-    incoming rounds strictly increase.
+    incoming rounds strictly increase. Every socket operation waits at most
+    `timeout` seconds. close() ends the peer's stream after the frames sent
+    before it.
     """
 
-    def __init__(self, name: str = "", timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, sock: socket.socket, name: str = "", timeout: float = DEFAULT_TIMEOUT):
         self.name = name
         self.timeout = timeout
         self.counters = ChannelCounters()
         self.transcript: list[TranscriptEntry] = []
         self._send_round = 0
         self._recv_round = 0
+        self._sock = sock
+        sock.settimeout(timeout)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    # -- subclass interface -------------------------------------------------
-    def _write(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _read_exact(self, n: int, timeout: float) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    # -- public API ---------------------------------------------------------
     def send(self, msg: ProtocolMessage) -> int:
         self._send_round += 1
         msg.round = self._send_round
         data = encode_frame(msg)
         self._record("send", msg, memoryview(data)[_HEADER.size:])
-        self._write(data)
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise TransportError(f"send failed on '{self.name}': {exc}") from exc
         return msg.round
 
     def send_new(self, msg_type: MsgType, payload=None, meta=None) -> int:
         return self.send(ProtocolMessage(msg_type=msg_type, payload=payload, meta=meta or {}))
 
-    def recv(self, timeout: float | None = None) -> ProtocolMessage:
-        t = self.timeout if timeout is None else timeout
-        header = self._read_exact(_HEADER.size, t)
+    def recv(self) -> ProtocolMessage:
+        header = self._read_exact(_HEADER.size)
         n = body_length(header)
-        body = self._read_exact(n, t) if n else b""
+        body = self._read_exact(n) if n else b""
         msg = decode_frame(header, body)
         if msg.round <= self._recv_round:
             raise ProtocolError(
@@ -241,8 +239,8 @@ class Channel:
         self._record("recv", msg, body)
         return msg
 
-    def expect(self, msg_type: MsgType, timeout: float | None = None) -> ProtocolMessage:
-        msg = self.recv(timeout=timeout)
+    def expect(self, msg_type: MsgType) -> ProtocolMessage:
+        msg = self.recv()
         if msg.msg_type != msg_type:
             raise ProtocolError(f"expected {msg_type.name}, got {msg.msg_type.name}")
         return msg
@@ -264,69 +262,15 @@ class Channel:
         )
         self.counters.count(direction, msg.msg_type, _HEADER.size + len(body))
 
-
-class InProcChannel(Channel):
-    """Queue-backed channel; frames still pass through encode/decode, and
-    close() ends the peer's stream after the frames sent before it."""
-
-    def __init__(self, outbox: queue.Queue, inbox: queue.Queue, name: str = "",
-                 timeout: float = DEFAULT_TIMEOUT):
-        super().__init__(name=name, timeout=timeout)
-        self._outbox = outbox
-        self._inbox = inbox
-        self._buffer = b""
-
-    def _write(self, data: bytes) -> None:
-        self._outbox.put(data)
-
-    def _read_exact(self, n: int, timeout: float) -> bytes:
-        while len(self._buffer) < n:
-            try:
-                chunk = self._inbox.get(timeout=timeout)
-            except queue.Empty:
-                raise TransportTimeout(
-                    f"recv timed out after {timeout}s on channel '{self.name}'"
-                ) from None
-            if chunk is None:  # end of stream, left in place for later reads
-                self._inbox.put(None)
-                raise TransportError(f"peer closed connection on '{self.name}'")
-            self._buffer += chunk
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
-
     def close(self) -> None:
-        self._outbox.put(None)
-
-
-def inproc_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InProcChannel, InProcChannel]:
-    """A connected pair of in-process channels (active end, passive end)."""
-    to_passive: queue.Queue = queue.Queue()
-    to_active: queue.Queue = queue.Queue()
-    active = InProcChannel(outbox=to_passive, inbox=to_active, name="active", timeout=timeout)
-    passive = InProcChannel(outbox=to_active, inbox=to_passive, name="passive", timeout=timeout)
-    return active, passive
-
-
-class TcpChannel(Channel):
-    """One long-lived TCP connection carrying the frame stream. Any other
-    stream socket (a Unix socketpair, say) works too, without TCP_NODELAY."""
-
-    def __init__(self, sock: socket.socket, name: str = "", timeout: float = DEFAULT_TIMEOUT):
-        super().__init__(name=name, timeout=timeout)
-        self._sock = sock
-        if sock.family in (socket.AF_INET, socket.AF_INET6):
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-    def _write(self, data: bytes) -> None:
         try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise TransportError(f"send failed on '{self.name}': {exc}") from exc
+            self._sock.close()
+        except OSError:
+            pass
 
-    def _read_exact(self, n: int, timeout: float) -> bytes:
+    def _read_exact(self, n: int) -> bytes:
         chunks = []
         remaining = n
-        self._sock.settimeout(timeout)
         while remaining:
             try:
                 # recv allocates its whole argument, and a header may claim
@@ -334,7 +278,7 @@ class TcpChannel(Channel):
                 chunk = self._sock.recv(min(remaining, RECV_CHUNK))
             except socket.timeout:
                 raise TransportTimeout(
-                    f"recv timed out after {timeout}s on channel '{self.name}'"
+                    f"recv timed out after {self.timeout}s on channel '{self.name}'"
                 ) from None
             except OSError as exc:
                 raise TransportError(f"recv failed on '{self.name}': {exc}") from exc
@@ -344,11 +288,13 @@ class TcpChannel(Channel):
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+
+def inproc_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[Channel, Channel]:
+    """A connected pair of in-process channels (active end, passive end)
+    over a Unix socketpair."""
+    ours, theirs = socket.socketpair()
+    return (Channel(ours, name="active", timeout=timeout),
+            Channel(theirs, name="passive", timeout=timeout))
 
 
 def tcp_listen(host: str, port: int) -> socket.socket:
@@ -359,21 +305,21 @@ def tcp_listen(host: str, port: int) -> socket.socket:
     return server
 
 
-def tcp_accept(server: socket.socket, *, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
+def tcp_accept(server: socket.socket, *, timeout: float = DEFAULT_TIMEOUT) -> Channel:
     server.settimeout(timeout)
     try:
         conn, _ = server.accept()
     except socket.timeout:
         raise TransportTimeout("no connection arrived before the deadline") from None
-    return TcpChannel(conn, name="passive", timeout=timeout)
+    return Channel(conn, name="passive", timeout=timeout)
 
 
-def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
+def tcp_connect(host: str, port: int, *, timeout: float = DEFAULT_TIMEOUT) -> Channel:
     last: Exception | None = None
     for _ in range(50):  # the peer may still be starting: retry for 5 s
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
-            return TcpChannel(sock, name="active", timeout=timeout)
+            return Channel(sock, name="active", timeout=timeout)
         except OSError as exc:
             last = exc
             time.sleep(0.1)

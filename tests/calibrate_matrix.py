@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from fedsplit.data import SyntheticSpec
-from fedsplit.harness import ExperimentConfig, run_matrix
-from oracles import best_epoch, epochs_to_auc
+from fedsplit.harness import ExperimentConfig
+from oracles import best_epoch, epochs_to_auc, run_matrix
 
 
 def build_config(**kw):

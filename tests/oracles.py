@@ -15,7 +15,9 @@ driver and the demos. Nothing in the library calls them.
   matched-pair pretraining estimates (PMI - log k);
 - `synth_categorical_pair`: categorical probe data with a known joint
   distribution, which `pmi_probe` needs;
-- `from_jsonl`, `best_epoch`, `epochs_to_auc`: readers of a metric history.
+- `from_jsonl`, `best_epoch`, `epochs_to_auc`: readers of a metric history;
+- `run_matrix`: several methods over several seeds, sharing stage outputs,
+  which the acceptance matrix, the calibration driver and demo 06 run.
 
 Tests import this module as `oracles` (pytest puts `tests/` on sys.path);
 the demos insert `tests/` into sys.path themselves.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,6 +41,7 @@ from fedsplit.data import (
     Segment,
 )
 from fedsplit.errors import ValidationError
+from fedsplit.harness import METHODS, ExperimentConfig, RunContext, load_dataset, run
 from fedsplit.metrics import EpochRecord, MetricHistory
 from fedsplit.numeric import F32, F64, RELU, EmbeddingTable, Mlp, RowSparseGrad
 from fedsplit.splitnn import BottomModel, SplitModel
@@ -440,3 +443,20 @@ def epochs_to_auc(history: MetricHistory, target_auc: float) -> int | None:
         if r.val_auc is not None and r.val_auc >= target_auc:
             return r.epoch
     return None
+
+
+def run_matrix(config: ExperimentConfig, methods=METHODS, seeds=(0, 1, 2)) -> dict:
+    """Run several methods over several seeds, sharing stage outputs.
+
+    Returns {method: {seed: RunReport}}. In-process transport only."""
+    out: dict = {}
+    for seed in seeds:
+        ctx = RunContext()
+        seed_config = replace(config, seed=seed)
+        dataset = load_dataset(seed_config)
+        for method in methods:
+            method_config = replace(seed_config, method=method)
+            out.setdefault(method, {})[seed] = run(
+                method_config, context=ctx, dataset=dataset
+            )
+    return out

@@ -30,7 +30,7 @@ from fedsplit.data import (
 )
 from fedsplit.checkpoint import load_checkpoint, save_checkpoint
 from fedsplit.distill import SoftLabelCache, distill, distill_loss, teacher_predict
-from fedsplit.harness import ExperimentConfig, run_matrix
+from fedsplit.harness import ExperimentConfig
 from fedsplit.metrics import auc
 from fedsplit.mpd import mpd_loss, pretrain, sample_derangement
 from fedsplit.numeric import (
@@ -56,7 +56,8 @@ from fedsplit.splitnn import (
 )
 from fedsplit.transport import MsgType, inproc_pair
 
-from oracles import best_epoch, epochs_to_auc, grad_check, pmi_probe, synth_categorical_pair
+from oracles import (best_epoch, epochs_to_auc, grad_check, pmi_probe, run_matrix,
+                     synth_categorical_pair)
 from test_metrics import auc_pair_counting
 from test_splitnn import (
     assert_params_match,

@@ -1,7 +1,9 @@
 """Experiment configs, method pipelines, run reports, and the grid."""
 
 import functools
+import gc
 import json
+import os
 import socket
 import sys
 import tempfile
@@ -32,13 +34,14 @@ from fedsplit.harness import (
     grid,
     load_dataset,
     run,
-    run_matrix,
     serve_party_b,
     stage_key,
 )
 from fedsplit.metrics import MetricHistory
-from fedsplit.splitnn import PassiveParty
+from fedsplit.splitnn import ActiveParty, PassiveParty
 from fedsplit.transport import MsgType
+
+from oracles import run_matrix
 
 
 def tiny_config(method="vfl", seed=0, **kwargs):
@@ -467,6 +470,69 @@ class TestRun:
                 session.active.channel.recv()
         assert isinstance(caught.value.__cause__, TransportError)
         assert "peer closed connection" in str(caught.value.__cause__)
+
+    def test_a_tcp_passive_fault_reaches_the_active_party_at_once(self, monkeypatch):
+        class PassiveFault(RuntimeError):
+            pass
+
+        def fail(passive, meta):
+            raise PassiveFault("epoch handler failed")
+
+        monkeypatch.setattr(PassiveParty, "_handle_epoch", fail)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = tiny_config(method="vfl", transport="tcp", tcp_port=port, recv_timeout=20.0)
+        passive_errors = []
+
+        def serve():
+            try:
+                serve_party_b(config)
+            except BaseException as exc:  # keeps its frames, and their socket, alive
+                passive_errors.append(exc)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        t0 = time.perf_counter()
+        report = run(config)
+        elapsed = time.perf_counter() - t0
+        server.join(timeout=30)
+        assert not server.is_alive()
+        assert [type(exc) for exc in passive_errors] == [PassiveFault]
+        assert report.failed_stage == "fed-train"
+        assert report.error.startswith("TransportError: peer closed connection"), report.error
+        assert elapsed < 5.0
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_in_process_runs_leave_no_socket_open(self, monkeypatch):
+        class Fault(RuntimeError):
+            pass
+
+        def fail(*args, **kwargs):
+            raise Fault("injected")
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        run(tiny_config(method="vfl"))  # whatever the first run opens for good
+        gc.collect()
+        gc.disable()  # a socket left in garbage stays open, and is counted
+        try:
+            before = open_fds()
+            for method in ("vfl", "vfl-st", "vfl-mpd"):
+                assert run(tiny_config(method=method)).failed_stage is None, method
+            faults = [(PassiveParty, "_handle_epoch", "Fault: injected"),
+                      (fedsplit.harness, "train_supervised", "Fault: injected"),
+                      # mid-batch: the passive party waits for a Gradient
+                      (ActiveParty, "backward_step", "Fault: injected")]
+            for owner, name, error in faults:
+                with monkeypatch.context() as patch:
+                    patch.setattr(owner, name, fail)
+                    report = run(tiny_config(method="vfl"))
+                assert (report.failed_stage, report.error) == ("fed-train", error), name
+            assert open_fds() == before
+        finally:
+            gc.enable()
 
     def test_report_json_is_parseable(self):
         report = run(tiny_config(method="vfl"))

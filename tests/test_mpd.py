@@ -170,8 +170,8 @@ class TestMpdStepOracle:
             frames = []
             expect = passive.channel.expect
 
-            def recording_expect(msg_type, timeout=None):
-                frames.append(expect(msg_type, timeout))
+            def recording_expect(msg_type):
+                frames.append(expect(msg_type))
                 return frames[-1]
 
             monkeypatch.setattr(passive.channel, "expect", recording_expect)
